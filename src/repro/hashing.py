@@ -1,8 +1,10 @@
 """Canonical content hashing shared by the cache, ledger, and linter.
 
-This module is the layering-neutral home of the repository's one
-content-hash definition: a SHA-256 over the canonical JSON encoding of
-arbitrarily nested dataclasses, enums, containers, and scalars.  It was
+This module is the layering-neutral home of the repository's two
+identity hashes: the content hash, a SHA-256 over the canonical JSON
+encoding of arbitrarily nested dataclasses, enums, containers, and
+scalars; and the code fingerprint, a SHA-256 over the source of every
+module that computes counter values.  The content hash was
 extracted from :mod:`repro.runner.cache` (which re-exports it unchanged)
 so that lower layers — :mod:`repro.obs` in particular — can hash material
 without importing the runner, keeping the import graph acyclic and the
@@ -16,8 +18,23 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
+from pathlib import Path
+from typing import List
+
+#: Package-relative modules and packages whose source decides counter
+#: values: the substrate config, the error types the engines raise, this
+#: module, the workload models, both execution engines, and the perf
+#: counter layer.  ``repro.obs`` is deliberately absent: its hooks time
+#: and record work but never change a counter.
+FINGERPRINT_SOURCES = (
+    "config.py", "errors.py", "hashing.py", "workloads", "uarch", "perf",
+)
+
+#: The imported ``repro`` package directory the fingerprint reads from.
+_PACKAGE_ROOT = Path(__file__).resolve().parent
 
 
 def jsonable(obj):
@@ -42,3 +59,37 @@ def content_hash(material) -> str:
         jsonable(material), sort_keys=True, separators=(",", ":")
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def fingerprint_files() -> List[Path]:
+    """The source files :func:`code_fingerprint` hashes, in hash order
+    (sorted by package-relative POSIX path)."""
+    files: List[Path] = []
+    for name in FINGERPRINT_SOURCES:
+        path = _PACKAGE_ROOT / name
+        files.extend(path.rglob("*.py") if path.is_dir() else [path])
+    return sorted(files, key=_relative_name)
+
+
+def _relative_name(path: Path) -> str:
+    return path.relative_to(_PACKAGE_ROOT).as_posix()
+
+
+@functools.lru_cache(maxsize=None)
+def code_fingerprint() -> str:
+    """SHA-256 over the paths and bytes of every counter-computing source
+    file (:data:`FINGERPRINT_SOURCES`).
+
+    Any edit to the simulator — an engine, a workload model, a counter
+    formula — changes the fingerprint, so result-cache keys and ledger
+    records identify the exact code that produced them.  Computed once
+    per process; the files are read from the imported package itself.
+    """
+    digest = hashlib.sha256()
+    for path in fingerprint_files():
+        source = path.read_bytes()
+        relative = _relative_name(path).encode("utf-8")
+        # Length-prefixed records: no two file sets hash alike.
+        digest.update(b"%d:%s\0%d:" % (len(relative), relative, len(source)))
+        digest.update(source)
+    return digest.hexdigest()

@@ -10,10 +10,8 @@ Two tiers:
   function.
 * **Whole-program analyzers** (``--project``) — invariants that only
   hold across module boundaries: layer ordering and import cycles
-  (LAY001), seed-taint dataflow through the call graph (SEED010),
-  cache-key completeness against what the engines actually read
-  (KEY001), and transitive picklability of the worker result channel
-  (PKL010).
+  (LAY001), seed-taint dataflow through the call graph (SEED010), and
+  transitive picklability of the worker result channel (PKL010).
 
 Run it as ``python -m repro lint [paths]`` (add ``--project`` for the
 second tier); suppress a finding in place with ``# repro: noqa[RULE001]``

@@ -2,8 +2,8 @@
 
 Per-file rules (:mod:`repro.lint.rules`) check what a single AST can
 prove.  Analyzers check invariants that only hold — or break — across
-module boundaries: layer ordering, seed threading, cache-key coverage,
-and worker-boundary picklability.  Each analyzer is a class with an
+module boundaries: layer ordering, seed threading, and worker-boundary
+picklability.  Each analyzer is a class with an
 ``analyzer_id`` (same shape as rule ids), a ``summary``, and a
 ``check(project)`` generator over a :class:`repro.lint.project.Project`.
 
@@ -29,7 +29,6 @@ from .base import (  # noqa: F401  (re-exported API)
 # Import the built-in analyzers so registration happens on package import.
 from . import layering  # noqa: E402,F401  (registration side effect)
 from . import seeds  # noqa: E402,F401
-from . import cachekey  # noqa: E402,F401
 from . import pickles  # noqa: E402,F401
 
 __all__ = [
@@ -41,6 +40,5 @@ __all__ = [
     "register_analyzer",
     "layering",
     "seeds",
-    "cachekey",
     "pickles",
 ]

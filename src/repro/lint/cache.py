@@ -6,8 +6,8 @@ the JSON-round-trippable module summary the extraction tier produced,
 and the per-file findings from the **full** rule set.  On a warm run an
 unchanged file costs one hash — no re-read of the AST, no rule visits —
 and the project model is rebuilt purely from cached summaries.  Only
-analyzers that lazily demand an AST (cache-key and picklability checks
-inspect a handful of named modules) touch the parser again.
+an analyzer that lazily demands an AST (the picklability check inspects
+a handful of named modules) touches the parser again.
 
 Two design rules keep the cache trustworthy:
 

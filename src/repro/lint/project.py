@@ -14,8 +14,8 @@ Two properties shape the design:
   content hash, so a warm ``--project`` run re-parses only files that
   changed.  Everything an analyzer needs on every run must therefore
   live in plain dicts/lists/strings — no AST nodes.
-* **ASTs stay available, lazily.**  A few analyzers (KEY001, PKL010)
-  inspect a handful of named modules in depth; :meth:`Project.ast`
+* **ASTs stay available, lazily.**  An analyzer (PKL010) can inspect
+  a handful of named modules in depth; :meth:`Project.ast`
   parses those on demand without disturbing the warm path for the rest
   of the tree.
 

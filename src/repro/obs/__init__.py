@@ -87,6 +87,7 @@ from .timeline import chrome_trace, export_chrome_trace
 from .trace import (
     DEFAULT_CAPACITY,
     NULL_SPAN,
+    STAGE_NAMES,
     ObsError,
     SpanHandle,
     Tracer,
@@ -111,6 +112,7 @@ __all__ = [
     "ObsError",
     "PathSegment",
     "RunLedger",
+    "STAGE_NAMES",
     "SpanHandle",
     "SpanProfiler",
     "StageLine",

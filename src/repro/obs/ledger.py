@@ -1,7 +1,7 @@
 """Append-only run ledger: the longitudinal memory of the pipeline.
 
 Every :meth:`~repro.runner.runner.SuiteRunner.run` sweep appends one
-JSON line to an on-disk ledger — config/engine/version hashes, the
+JSON line to an on-disk ledger — config/engine/code hashes, the
 :class:`~repro.runner.runner.RunManifest` accounting, an optional
 :meth:`~repro.obs.metrics.MetricsRegistry.dump` snapshot, and a per-pair
 digest of the 20 microarchitecture-independent characteristics (the
@@ -36,6 +36,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from ..errors import ReproError
+from ..hashing import code_fingerprint
 from ..hashing import content_hash as _content_hash
 
 #: Ledger record schema version, stamped on every line.
@@ -99,7 +100,10 @@ def build_run_record(
     (timestamp included), so re-running the same sweep yields distinct
     ids while the payload itself stays deterministic.
 
-    ``critical_path_s`` (the traced sweep's critical-path length) and
+    ``code_fingerprint`` identifies the simulator source that produced
+    the counters (see :func:`repro.hashing.code_fingerprint`), so
+    :func:`describe_code_change` can tell whether two runs ran the same
+    code.  ``critical_path_s`` (the traced sweep's critical-path length) and
     ``profile_digest`` (the span-scoped profile's shape hash) are
     schema-compatible extras: keys absent on untraced runs and on every
     pre-existing ledger line, ignored by :func:`comparability_key`, so
@@ -113,6 +117,7 @@ def build_run_record(
         "kind": KIND_RUN,
         "time": float(timestamp) if timestamp is not None else time.time(),
         "code_version": __version__,
+        "code_fingerprint": code_fingerprint(),
         "config_hash": _content_hash(config),
         "engine": engine,
         "sample_ops": sample_ops,
@@ -152,9 +157,9 @@ def build_bench_record(
 def comparability_key(record: Dict[str, object]) -> tuple:
     """What must match before two run records are drift-comparable.
 
-    Deliberately *excludes* ``code_version``: characteristic movement
-    across code changes is exactly the regression the watchdog exists
-    to catch.
+    Deliberately *excludes* ``code_version`` and ``code_fingerprint``:
+    characteristic movement across code changes is exactly the
+    regression the watchdog exists to catch.
     """
     return (
         record.get("config_hash"),
@@ -350,6 +355,18 @@ def render_history(
         )
     lines.append("%d run(s)" % len(shown))
     return "\n".join(lines)
+
+
+def describe_code_change(a: Dict[str, object], b: Dict[str, object]) -> str:
+    """One line saying whether run ``b`` ran the same code as run ``a``."""
+    before, after = a.get("code_fingerprint"), b.get("code_fingerprint")
+    if not before or not after:
+        return "code: unknown (a record predates code fingerprints)"
+    if before == after:
+        return "code: unchanged (fingerprint %s)" % str(before)[:12]
+    return "code: changed (fingerprint %s -> %s)" % (
+        str(before)[:12], str(after)[:12]
+    )
 
 
 def diff_runs(

@@ -45,6 +45,16 @@ SPAN_SCHEMA = 2
 #: Default ring-buffer capacity (finished spans kept in memory).
 DEFAULT_CAPACITY = 4096
 
+#: Every span stage the pipeline opens — the "Span vocabulary" of
+#: docs/observability.md and the names ``--profile-stage`` accepts.  The
+#: ``pair.failure`` marker is instantaneous, not a stage, so it is absent.
+STAGE_NAMES = (
+    "suite.run", "pair.run", "pair.retry", "trace.gen",
+    "engine.vector.analyze", "engine.exec", "engine.vector.memory",
+    "engine.vector.branch", "counters.validate",
+    "stats.pca", "stats.cluster", "stats.standardize",
+)
+
 
 class ObsError(ReproError):
     """Raised for observability-layer misuse (bad sink, bad graft)."""

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional
 
@@ -114,6 +115,7 @@ def _sweep_parent(top_level: bool) -> argparse.ArgumentParser:
     group.add_argument(
         "--profile-stage",
         action="append",
+        choices=obs.STAGE_NAMES,
         metavar="STAGE",
         default=default(None),
         help="activate the span-scoped profiler inside this span stage "
@@ -254,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--project", action="store_true",
         help="also run the whole-program tier (layering, seed taint, "
-             "cache-key completeness, picklability closure)",
+             "picklability closure)",
     )
     lint.add_argument(
         "--jobs", type=int, default=1, metavar="N",
@@ -669,7 +671,7 @@ def _cmd_obs(args) -> int:
     import dataclasses
 
     from ..obs import DriftThresholds, MetricsRegistry, RunLedger, check_ledger
-    from ..obs.ledger import diff_runs, render_history
+    from ..obs.ledger import describe_code_change, diff_runs, render_history
 
     ledger = RunLedger(path=args.ledger)
     if args.obs_command == "history":
@@ -683,6 +685,7 @@ def _cmd_obs(args) -> int:
         run_a = ledger.resolve(args.run_a)
         run_b = ledger.resolve(args.run_b)
         print("diff %s -> %s" % (run_a.get("run_id"), run_b.get("run_id")))
+        print(describe_code_change(run_a, run_b))
         lines = diff_runs(run_a, run_b, threshold=args.threshold)
         if not lines:
             print(
@@ -799,6 +802,19 @@ def _cmd_trace(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()  # surface a closed pipe here, not at exit
+    except BrokenPipeError:
+        # The reader closed the pipe (``repro trace ... | head``): stop
+        # quietly, and point stdout at devnull so the interpreter's
+        # exit-time flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    return code
+
+
+def _main(argv: Optional[List[str]]) -> int:
     args = _build_parser().parse_args(argv)
     trace_path = getattr(args, "trace", None)
     metrics = getattr(args, "metrics", False)

@@ -9,11 +9,13 @@ content hash over everything that can change those values:
 * the full :class:`~repro.workloads.profile.WorkloadProfile`,
 * the sample parameters (``sample_ops``, ``warmup_fraction``) and the
   resolved execution engine,
-* the package version and the cache schema version (code invalidation).
+* the code fingerprint (:func:`repro.hashing.code_fingerprint`, a hash
+  of every counter-computing source file) and the cache schema version.
 
 Because the simulation is deterministic, a cache hit is bitwise identical
-to a fresh run; anything that would change the numbers changes the key, so
-stale entries are never *reused* — they are simply unreachable until
+to a fresh run; anything that would change the numbers — an input or an
+edit to the simulator's source — changes the key, so stale entries are
+never *reused*; they are simply unreachable until
 :meth:`ResultCache.clear` garbage-collects them.
 
 The default location is ``~/.cache/repro`` and can be overridden with the
@@ -29,6 +31,8 @@ import tempfile
 from pathlib import Path
 from typing import Dict, Optional
 
+from ..hashing import code_fingerprint
+
 # Historical homes of the content hash and the default cache directory;
 # re-exported from the neutral repro.hashing / repro.paths modules so
 # repro.obs can use both without importing the runner.
@@ -37,14 +41,6 @@ from ..paths import CACHE_DIR_ENV, default_cache_dir
 
 #: Bump to invalidate every existing cache entry on disk (layout changes).
 CACHE_SCHEMA = 1
-
-
-def _code_version() -> str:
-    # Imported lazily: repro/__init__ re-exports the runner package, so a
-    # module-level import here would be circular.
-    from .. import __version__
-
-    return __version__
 
 
 class ResultCache:
@@ -76,7 +72,7 @@ class ResultCache:
         return content_hash(
             {
                 "schema": CACHE_SCHEMA,
-                "code_version": _code_version(),
+                "code_fingerprint": code_fingerprint(),
                 "config": config,
                 "profile": profile,
                 "sample_ops": sample_ops,
@@ -110,7 +106,7 @@ class ResultCache:
         self.directory.mkdir(parents=True, exist_ok=True)
         entry = {
             "schema": CACHE_SCHEMA,
-            "code_version": _code_version(),
+            "code_fingerprint": code_fingerprint(),
             "pair": pair_name,
             "values": {name: float(value) for name, value in values.items()},
         }

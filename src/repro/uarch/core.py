@@ -139,14 +139,11 @@ class SimulatedCore:
     def __init__(self, config: SystemConfig,
                  predictor: Optional[BranchPredictor] = None,
                  engine: str = "auto"):
-        if engine not in ENGINES:
-            raise ConfigError(
-                "unknown engine %r (valid: %s)" % (engine, ", ".join(ENGINES))
-            )
         self.config = config
         self.engine = engine
         self._predictor_override = predictor
         self._pipeline = PipelineModel(config)
+        self.resolve_engine()  # reject a bad knob at construction
 
     def vector_unsupported_reason(
         self, trace: Optional[SyntheticTrace] = None
@@ -170,19 +167,34 @@ class SimulatedCore:
         for the vector engine when it is unsupported raises, naming the
         precondition that failed; ``"auto"`` silently falls back.
         """
+        return self._select(trace, engine)[0]
+
+    def _select(
+        self, trace: Optional[SyntheticTrace], engine: Optional[str]
+    ) -> Tuple[str, Optional[np.ndarray]]:
+        """Validate the engine knob and pick the engine for ``trace``.
+
+        Returns ``(engine_used, hit_levels)``: ``hit_levels`` is the
+        vector engine's per-region analysis when a trace is given and
+        the vector engine applies, ``None`` otherwise.
+        """
         engine = engine or self.engine
         if engine not in ENGINES:
             raise ConfigError(
                 "unknown engine %r (valid: %s)" % (engine, ", ".join(ENGINES))
             )
         if engine == "scalar":
-            return "scalar"
-        reason = self.vector_unsupported_reason(trace)
+            return "scalar", None
+        reason = self.vector_unsupported_reason()
+        hit_levels = None
+        if reason is None and trace is not None:
+            with obs.profile("engine.vector.analyze", ops=trace.n_ops):
+                reason, hit_levels = vector.analyze_trace(self.config, trace)
+        if reason is None:
+            return "vector", hit_levels
         if engine == "vector":
-            if reason is not None:
-                raise SimulationError("vector engine unsupported: " + reason)
-            return "vector"
-        return "scalar" if reason is not None else "vector"
+            raise SimulationError("vector engine unsupported: " + reason)
+        return "scalar", None  # auto: fall back to the op loop
 
     def run(
         self,
@@ -196,31 +208,12 @@ class SimulatedCore:
             raise SimulationError("warmup_fraction must be in [0, 1)")
         if params is None:
             params = solve_pipeline_params(trace.profile, self.config)
-        engine = engine or self.engine
-        if engine not in ENGINES:
-            raise ConfigError(
-                "unknown engine %r (valid: %s)" % (engine, ", ".join(ENGINES))
-            )
-        hit_levels = None
-        if engine != "scalar":
-            reason = self.vector_unsupported_reason()
-            if reason is None:
-                with obs.profile("engine.vector.analyze", ops=trace.n_ops):
-                    reason, hit_levels = vector.analyze_trace(
-                        self.config, trace
-                    )
-            if reason is not None:
-                if engine == "vector":
-                    raise SimulationError(
-                        "vector engine unsupported: " + reason
-                    )
-                hit_levels = None  # auto: fall back to the op loop
-        engine_used = "vector" if hit_levels is not None else "scalar"
+        engine_used, hit_levels = self._select(trace, engine)
         with obs.profile(
             "engine.exec", engine=engine_used, ops=trace.n_ops
         ):
             started = time.perf_counter() if obs.enabled() else 0.0
-            if hit_levels is not None:
+            if engine_used == "vector":
                 measurement = vector.execute_vector(
                     self.config, trace, warmup_fraction, hit_levels
                 )

@@ -36,7 +36,6 @@ replacement policy, and continuously by the A/B benchmark harness.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -417,89 +416,76 @@ def execute_vector(
     config: SystemConfig,
     trace: SyntheticTrace,
     warmup_fraction: float,
-    hit_levels: Optional[np.ndarray] = None,
+    hit_levels: np.ndarray,
 ) -> EngineMeasurement:
     """Measure ``trace`` with batched array passes.
 
     ``hit_levels`` is the per-region analysis from :func:`analyze_trace`
-    (recomputed when omitted).  Given a supported config/trace pair the
-    result is bit-identical to the scalar engine's measurement.
+    for a supported config/trace pair; the result is then bit-identical
+    to the scalar engine's measurement.
     """
     kind = trace.kind
-    if hit_levels is None:
-        with obs.profile("engine.vector.analyze"):
-            reason, hit_levels = analyze_trace(config, trace)
-        if reason is None:
-            reason = _config_reason(config)
-        if reason is not None:
-            raise SimulationError("vector engine unsupported: " + reason)
+    with obs.profile("engine.vector.memory") as span:
+        # One bincount over (hit level, is_store) codes.
+        mem_idx = np.flatnonzero((kind == KIND_LOAD) | (kind == KIND_STORE))
+        n_mem = int(mem_idx.size)
+        span.set("ops", n_mem)
+        mem_warmup = int(n_mem * warmup_fraction)
+        window_levels = hit_levels[
+            trace.region[mem_idx[mem_warmup:]].astype(np.int64)
+        ]
+        window_stores = kind[mem_idx[mem_warmup:]] == KIND_STORE
+        codes = np.bincount(
+            (window_levels - 1) * 2 + window_stores, minlength=2 * _N_REGIONS
+        )
+        loads = [int(value) for value in codes[0::2]]
+        stores = [int(value) for value in codes[1::2]]
+        hierarchy = HierarchyStats(
+            l1=CacheStats(
+                load_hits=loads[0],
+                load_misses=loads[1] + loads[2] + loads[3],
+                store_hits=stores[0],
+                store_misses=stores[1] + stores[2] + stores[3],
+            ),
+            l2=CacheStats(
+                load_hits=loads[1],
+                load_misses=loads[2] + loads[3],
+                store_hits=stores[1],
+                store_misses=stores[2] + stores[3],
+            ),
+            l3=CacheStats(
+                load_hits=loads[2],
+                load_misses=loads[3],
+                store_hits=stores[2],
+                store_misses=stores[3],
+            ),
+            load_served=(loads[0], loads[1], loads[2], loads[3]),
+        )
+        # Footprint: pure reductions over the full memory stream.
+        tracker = FootprintTracker(trace.profile, trace.pages_per_touch)
+        tracker.observe_counts(
+            n_mem, int(np.count_nonzero(trace.new_page[mem_idx]))
+        )
 
-    # ---- memory stream: one bincount over (hit level, is_store) codes ---
-    mem_started = time.perf_counter() if obs.enabled() else 0.0
-    mem_idx = np.flatnonzero((kind == KIND_LOAD) | (kind == KIND_STORE))
-    n_mem = int(mem_idx.size)
-    mem_warmup = int(n_mem * warmup_fraction)
-    window_levels = hit_levels[
-        trace.region[mem_idx[mem_warmup:]].astype(np.int64)
-    ]
-    window_stores = kind[mem_idx[mem_warmup:]] == KIND_STORE
-    codes = np.bincount(
-        (window_levels - 1) * 2 + window_stores, minlength=2 * _N_REGIONS
-    )
-    loads = [int(value) for value in codes[0::2]]
-    stores = [int(value) for value in codes[1::2]]
-    hierarchy = HierarchyStats(
-        l1=CacheStats(
-            load_hits=loads[0],
-            load_misses=loads[1] + loads[2] + loads[3],
-            store_hits=stores[0],
-            store_misses=stores[1] + stores[2] + stores[3],
-        ),
-        l2=CacheStats(
-            load_hits=loads[1],
-            load_misses=loads[2] + loads[3],
-            store_hits=stores[1],
-            store_misses=stores[2] + stores[3],
-        ),
-        l3=CacheStats(
-            load_hits=loads[2],
-            load_misses=loads[3],
-            store_hits=stores[2],
-            store_misses=stores[3],
-        ),
-        load_served=(loads[0], loads[1], loads[2], loads[3]),
-    )
-
-    # ---- footprint: pure reductions over the full memory stream ---------
-    tracker = FootprintTracker(trace.profile, trace.pages_per_touch)
-    tracker.observe_counts(
-        n_mem, int(np.count_nonzero(trace.new_page[mem_idx]))
-    )
-    if obs.enabled():
-        obs.record("engine.vector.memory",
-                   wall_s=time.perf_counter() - mem_started, ops=n_mem)
-
-    # ---- conditional branches: grouped automaton evaluation -------------
-    branch_started = time.perf_counter() if obs.enabled() else 0.0
-    cond_mask = (kind == KIND_BRANCH) & (trace.btype == BR_CONDITIONAL)
-    sites = trace.site[cond_mask].astype(np.int64)
-    taken = np.ascontiguousarray(trace.taken[cond_mask])
-    n_cond = int(sites.shape[0])
-    cond_warmup = min(
-        n_cond // 2, max(int(n_cond * warmup_fraction), 2048)
-    )
-    predictions = _conditional_predictions(
-        config.branch_predictor, sites, taken
-    )
-    mispredicted = predictions != taken
-    window_conditionals = n_cond - cond_warmup
-    predictor = PredictorStats(
-        predictions=window_conditionals,
-        mispredictions=int(np.count_nonzero(mispredicted[cond_warmup:])),
-    )
-    if obs.enabled():
-        obs.record("engine.vector.branch",
-                   wall_s=time.perf_counter() - branch_started, ops=n_cond)
+    with obs.profile("engine.vector.branch") as span:
+        # Conditional branches: grouped automaton evaluation.
+        cond_mask = (kind == KIND_BRANCH) & (trace.btype == BR_CONDITIONAL)
+        sites = trace.site[cond_mask].astype(np.int64)
+        taken = np.ascontiguousarray(trace.taken[cond_mask])
+        n_cond = int(sites.shape[0])
+        span.set("ops", n_cond)
+        cond_warmup = min(
+            n_cond // 2, max(int(n_cond * warmup_fraction), 2048)
+        )
+        predictions = _conditional_predictions(
+            config.branch_predictor, sites, taken
+        )
+        mispredicted = predictions != taken
+        window_conditionals = n_cond - cond_warmup
+        predictor = PredictorStats(
+            predictions=window_conditionals,
+            mispredictions=int(np.count_nonzero(mispredicted[cond_warmup:])),
+        )
 
     return EngineMeasurement(
         hierarchy=hierarchy,

@@ -1,6 +1,5 @@
-"""The four whole-program analyzers against fixture mini-projects."""
+"""The three whole-program analyzers against fixture mini-projects."""
 
-from repro.lint.analyzers.cachekey import CacheKeyAnalyzer, KeySpec
 from repro.lint.analyzers.layering import LayeringAnalyzer
 from repro.lint.analyzers.pickles import PicklabilityAnalyzer, PklSpec
 from repro.lint.analyzers.seeds import SeedTaintAnalyzer
@@ -155,88 +154,6 @@ class TestSeedTaint:
             """,
         })
         assert run(SeedTaintAnalyzer(), project_of(root)) == []
-
-
-KEY_FIXTURE = {
-    "repro/config.py": """\
-        from dataclasses import dataclass
-
-        @dataclass(frozen=True)
-        class SystemConfig:
-            l1d: int
-            l2: int
-    """,
-    "repro/cache.py": """\
-        from repro.util import content_hash
-
-        class ResultCache:
-            def key(self, config, profile, sample_ops):
-                return content_hash({
-                    "config": config.l1d,
-                    "profile": profile,
-                    "sample_ops": sample_ops,
-                })
-    """,
-    "repro/profile.py": """\
-        from dataclasses import dataclass
-
-        @dataclass(frozen=True)
-        class WorkloadProfile:
-            name: str
-    """,
-    "repro/engine.py": """\
-        def simulate(config, profile, sample_ops):
-            return config.l1d + config.l2 + len(profile.name) + sample_ops
-    """,
-    "repro/util.py": "def content_hash(material):\n    return str(material)\n",
-}
-
-KEY_SPEC = KeySpec(
-    key_module="repro.cache",
-    engine_modules=("repro.engine",),
-    param_types=(
-        ("config", "repro.config.SystemConfig"),
-        ("profile", "repro.profile.WorkloadProfile"),
-    ),
-)
-
-
-class TestCacheKey:
-    def test_field_read_but_not_hashed_is_flagged(self, build_tree,
-                                                  project_of):
-        root = build_tree(KEY_FIXTURE)
-        findings = run(CacheKeyAnalyzer(KEY_SPEC), project_of(root))
-        assert len(findings) == 1
-        assert "config.l2" in findings[0].message
-        assert findings[0].path.endswith("repro/engine.py")
-
-    def test_whole_object_hash_covers_every_field(self, build_tree,
-                                                  project_of):
-        fixture = dict(KEY_FIXTURE)
-        fixture["repro/cache.py"] = fixture["repro/cache.py"].replace(
-            '"config": config.l1d,', '"config": config,'
-        )
-        root = build_tree(fixture)
-        assert run(CacheKeyAnalyzer(KEY_SPEC), project_of(root)) == []
-
-    def test_key_parameter_never_folded_in_is_flagged(self, build_tree,
-                                                      project_of):
-        fixture = dict(KEY_FIXTURE)
-        fixture["repro/cache.py"] = """\
-from repro.util import content_hash
-
-class ResultCache:
-    def key(self, config, profile, sample_ops):
-        return content_hash({"config": config, "profile": profile})
-"""
-        root = build_tree(fixture)
-        findings = run(CacheKeyAnalyzer(KEY_SPEC), project_of(root))
-        assert any("'sample_ops'" in f.message and "never folded"
-                   in f.message for f in findings)
-
-    def test_real_repo_key_is_complete(self, project_of):
-        project = project_of("src")
-        assert run(CacheKeyAnalyzer(), project) == []
 
 
 class TestPicklability:

@@ -19,9 +19,11 @@ from repro.obs.ledger import (
     characteristic_digest,
     comparability_key,
     default_ledger_path,
+    describe_code_change,
     diff_runs,
     render_history,
 )
+from repro.hashing import code_fingerprint
 from repro.runner import SuiteRunner
 from repro.workloads.profile import InputSize
 
@@ -195,10 +197,22 @@ class TestRunRecord:
         )
         assert build_run_record(**kwargs) == build_run_record(**kwargs)
 
+    def test_record_carries_the_code_fingerprint(self, sweep):
+        runner, result = sweep
+        record = build_run_record(
+            manifest=result.manifest, reports=result.reports,
+            config=runner.config, sample_ops=OPS, warmup_fraction=0.15,
+            engine="vector",
+        )
+        assert record["code_fingerprint"] == code_fingerprint()
+
     def test_comparability_key_ignores_code_version(self):
         base = synthetic_record()
         assert comparability_key(base) == comparability_key(
             synthetic_record(code_version="different")
+        )
+        assert comparability_key(base) == comparability_key(
+            synthetic_record(code_fingerprint="f" * 64)
         )
         assert comparability_key(base) != comparability_key(
             synthetic_record(engine="scalar")
@@ -322,6 +336,21 @@ class TestRendering:
         )
         lines = diff_runs(a, b)
         assert any("inst_retired.any" in line for line in lines)
+
+    def test_code_change_says_whether_the_code_moved(self):
+        a = synthetic_record("a" * 12, code_fingerprint="1" * 64)
+        same = synthetic_record("b" * 12, code_fingerprint="1" * 64)
+        moved = synthetic_record("c" * 12, code_fingerprint="2" * 64)
+        assert describe_code_change(a, same) == (
+            "code: unchanged (fingerprint %s)" % ("1" * 12)
+        )
+        assert describe_code_change(a, moved) == (
+            "code: changed (fingerprint %s -> %s)" % ("1" * 12, "2" * 12)
+        )
+        # Lines written before fingerprinting carry no answer.
+        assert describe_code_change(synthetic_record(), a).startswith(
+            "code: unknown"
+        )
 
     def test_diff_below_threshold_is_silent(self):
         a = synthetic_record("a" * 12)

@@ -1,11 +1,13 @@
 """Tracer unit tests: nesting, determinism, sinks, grafting."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from repro.errors import ReproError
-from repro.obs import NULL_SPAN, ObsError, Tracer
+from repro.obs import NULL_SPAN, STAGE_NAMES, ObsError, Tracer
 from repro.obs.trace import SPAN_SCHEMA
 
 
@@ -199,3 +201,27 @@ class TestNullSpan:
         with pytest.raises(RuntimeError):
             with NULL_SPAN:
                 raise RuntimeError("pass through")
+
+
+class TestStageVocabulary:
+    """``STAGE_NAMES`` (what ``--profile-stage`` accepts) is the span
+    vocabulary the docs list and the stages the source opens."""
+
+    ROOT = Path(__file__).resolve().parents[2]
+
+    def test_matches_the_documented_vocabulary(self):
+        docs = (self.ROOT / "docs" / "observability.md").read_text(
+            encoding="utf-8"
+        )
+        block = docs.split("### Span vocabulary", 1)[1].split("```")[1]
+        documented = set(re.findall(r"\b[a-z]+(?:\.[a-z]+)+\b", block))
+        assert documented - {"pair.failure"} == set(STAGE_NAMES)
+
+    def test_matches_the_stages_the_source_opens(self):
+        opened = set()
+        for path in (self.ROOT / "src" / "repro").rglob("*.py"):
+            opened.update(re.findall(
+                r'obs\.profile\(\s*"([a-z.]+)"',
+                path.read_text(encoding="utf-8"),
+            ))
+        assert opened == set(STAGE_NAMES)

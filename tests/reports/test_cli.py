@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro import obs
+from repro.hashing import code_fingerprint
 from repro.reports.cli import main
 
 
@@ -254,6 +255,27 @@ class TestTraceAnalysisCli:
             assert stack and int(micros) > 0
         assert not obs.enabled()
 
+    @pytest.mark.parametrize(
+        "stage", ["engine.vector.memory", "engine.vector.branch"]
+    )
+    def test_vector_sub_stages_are_profiled(self, stage, capsys):
+        assert main([
+            "run", "--pairs", "1", "--sample-ops", "5000", "--no-cache",
+            "--jobs", "1", "--profile-stage", stage,
+        ]) == 0
+        footer = capsys.readouterr().out.strip().splitlines()[-1]
+        assert footer.endswith("total self time")
+        assert int(footer.split()[0]) > 0, footer
+
+    def test_unknown_profile_stage_is_an_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--pairs", "2", "--profile-stage", "engine.bogus"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'engine.bogus'" in err
+        for stage in obs.STAGE_NAMES:
+            assert stage in err
+
 
 class TestObsLedgerCli:
     """The run-ledger surface: obs history / diff / check."""
@@ -293,6 +315,8 @@ class TestObsLedgerCli:
         # accounting moves — never a characteristic digest.
         assert "inst_retired" not in out
         assert "manifest.cache_hits" in out
+        assert "code: unchanged (fingerprint %s)" % code_fingerprint()[:12] \
+            in out
 
     def test_diff_unresolvable_run_is_friendly(
         self, populated_ledger, capsys

@@ -3,6 +3,8 @@
 import subprocess
 import sys
 
+from repro.obs import Tracer
+
 
 def run_module(*args):
     return subprocess.run(
@@ -29,3 +31,25 @@ class TestMainModule:
     def test_bad_subcommand(self):
         result = run_module("explode")
         assert result.returncode != 0
+
+    def test_closed_stdout_pipe_exits_quietly(self, tmp_path):
+        """``repro trace summarize t.jsonl --tree | head -1``: the reader
+        leaves after one line, long before the tree is written."""
+        trace_path = tmp_path / "t.jsonl"
+        tracer = Tracer(sink_path=str(trace_path))
+        for index in range(3000):
+            with tracer.span("pair.run", pair="p%d" % index):
+                with tracer.span("trace.gen"):
+                    pass
+        tracer.close()
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "trace", "summarize",
+             str(trace_path), "--tree"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert process.stdout.readline().startswith(b"stage")
+        process.stdout.close()
+        stderr = process.stderr.read()
+        assert process.wait(timeout=300) == 0
+        assert b"Traceback" not in stderr
+        assert b"BrokenPipeError" not in stderr

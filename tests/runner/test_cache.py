@@ -1,10 +1,13 @@
 """Tests for the on-disk result cache (keying, round trips, invalidation)."""
 
+import inspect
 import json
 
 import pytest
 
 from repro.config import haswell_e5_2650l_v3
+from repro.hashing import code_fingerprint
+from repro.runner import cache as cache_module
 from repro.runner.cache import (
     CACHE_DIR_ENV,
     ResultCache,
@@ -32,7 +35,8 @@ class TestKeying:
         assert a == b
         assert len(a) == 64  # sha256 hex
 
-    def test_key_covers_every_input(self, cache, config, profile):
+    def test_key_covers_every_input(self, cache, config, profile,
+                                    monkeypatch):
         base = cache.key(config, profile, 10_000, 0.15)
         other_profile = cpu2017().get("525.x264_r").profile(InputSize.REF)
         assert cache.key(config, profile, 20_000, 0.15) != base
@@ -40,6 +44,24 @@ class TestKeying:
         assert cache.key(config, other_profile, 10_000, 0.15) != base
         scaled = haswell_e5_2650l_v3().with_l3_scaled(0.5)
         assert cache.key(scaled, profile, 10_000, 0.15) != base
+
+        # The material itself: the whole config and profile objects,
+        # every key() parameter, and the code fingerprint.
+        captured = []
+        monkeypatch.setattr(cache_module, "content_hash", captured.append)
+        arguments = {
+            "config": config, "profile": profile, "sample_ops": 12_345,
+            "warmup_fraction": 0.375, "engine": "vector",
+        }
+        parameters = list(inspect.signature(ResultCache.key).parameters)
+        assert parameters == ["self", *arguments]
+        cache.key(**arguments)
+        (material,) = captured
+        assert material["config"] is config
+        assert material["profile"] is profile
+        for name, value in arguments.items():
+            assert material[name] is value, name
+        assert material["code_fingerprint"] == code_fingerprint()
 
     def test_content_hash_handles_enums_and_tuples(self):
         assert content_hash({"size": InputSize.REF, "xs": (1, 2)}) == \
