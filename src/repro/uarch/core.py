@@ -208,10 +208,9 @@ class SimulatedCore:
             raise SimulationError("warmup_fraction must be in [0, 1)")
         if params is None:
             params = solve_pipeline_params(trace.profile, self.config)
-        engine_used, hit_levels = self._select(trace, engine)
-        with obs.profile(
-            "engine.exec", engine=engine_used, ops=trace.n_ops
-        ):
+        with obs.profile("engine.exec", ops=trace.n_ops) as span:
+            engine_used, hit_levels = self._select(trace, engine)
+            span.set("engine", engine_used)
             started = time.perf_counter() if obs.enabled() else 0.0
             if engine_used == "vector":
                 measurement = vector.execute_vector(

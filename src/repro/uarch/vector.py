@@ -26,8 +26,8 @@ generated traces:
    ``taken``, never on predictions.  Given the index stream, each 2-bit
    saturating counter is a 4-state automaton whose per-access transition
    is known up front; the exact state *before* each access is recovered
-   with a segmented prefix scan of transition-function compositions over
-   the index-sorted stream (O(n log n), bit-exact).
+   with a prefix scan of byte-coded transition maps over the index-sorted
+   stream, one table lookup per composition (O(n log n), bit-exact).
 
 The parity guarantee — identical integer counters, identical derived
 floats — is enforced by the test suite over every predictor family and
@@ -115,6 +115,22 @@ def _config_reason(config: SystemConfig) -> Optional[str]:
     return None
 
 
+def _cyclic_sweep_lines(accesses: np.ndarray) -> Optional[np.ndarray]:
+    """The line set ``accesses`` sweeps cyclically, or None if it doesn't.
+
+    A cyclic sweep repeats its sorted line set from the smallest line
+    on: the accesses rise strictly up to the first non-increase, which
+    fixes the period, and repeat with that period from there on.  One
+    linear pass, equivalent to comparing against the tiled
+    ``np.unique(accesses)``.
+    """
+    drops = np.flatnonzero(accesses[1:] <= accesses[:-1])
+    period = int(drops[0]) + 1 if drops.size else accesses.size
+    if not np.array_equal(accesses[period:], accesses[:-period]):
+        return None
+    return accesses[:period]
+
+
 def analyze_trace(config: SystemConfig, trace: SyntheticTrace):
     """Resolve each region's analytic hit level, or explain why we can't.
 
@@ -144,11 +160,8 @@ def analyze_trace(config: SystemConfig, trace: SyntheticTrace):
 
     region_lines = []
     for region in range(_N_REGIONS):
-        accesses = addrs[regions == region]
-        lines = np.unique(accesses)
-        if accesses.size and not np.array_equal(
-            accesses, lines[np.arange(accesses.size) % lines.size]
-        ):
+        lines = _cyclic_sweep_lines(addrs[regions == region])
+        if lines is None:
             return ("region %d is not a cyclic sweep of its line set"
                     % region), None
         region_lines.append(lines)
@@ -205,12 +218,55 @@ def unsupported_reason(
 # Grouped 2-bit counter evaluation
 # ---------------------------------------------------------------------------
 
+def _saturate(state: int) -> int:
+    return min(_MAX_STATE, max(0, state))
+
+
+def _state_map_code(images) -> int:
+    """Code one map of the counter states onto themselves as one byte.
+
+    Bits ``2s`` and ``2s + 1`` hold the image of state ``s``.
+    """
+    return sum(int(image) << (2 * state) for state, image in enumerate(images))
+
+
+@lru_cache(maxsize=None)
+def _compose_table() -> np.ndarray:
+    """``table[(f << 8) | g]`` is the code of "apply f, then g".
+
+    Built on first use, so runs served from the result cache never
+    build it.
+    """
+    f = np.arange(256, dtype=np.uint8)[:, None]
+    g = np.arange(256, dtype=np.uint8)[None, :]
+    composed = np.zeros((256, 256), dtype=np.uint8)
+    for state in range(_MAX_STATE + 1):
+        image_f = (f >> (2 * state)) & _MAX_STATE
+        composed |= ((g >> (2 * image_f)) & _MAX_STATE) << (2 * state)
+    table = composed.ravel()
+    table.setflags(write=False)
+    return table
+
+
+#: The counter updates a step stream may hold.
+_STEPS = (-1, 0, 1)
+
+#: Codes of the saturating steps, indexed by ``step + 1``.
+_STEP_CODES = tuple(
+    _state_map_code(_saturate(state + step) for state in range(_MAX_STATE + 1))
+    for step in _STEPS
+)
+
+#: ``_CONSTANT_CODE * v`` codes the constant map onto state ``v``.
+_CONSTANT_CODE = _state_map_code([1] * (_MAX_STATE + 1))
+
+
 class _KeyGroups:
     """Sorted grouping of a table-index stream, reusable across scans.
 
     Built once per distinct key array; multiple step streams (e.g. a
     tournament's bimodal table and chooser table, both indexed by the
-    same masked site) then share the sort and the segment boundaries.
+    same masked site) then share the sort and the group boundaries.
     """
 
     def __init__(self, keys: np.ndarray):
@@ -218,15 +274,22 @@ class _KeyGroups:
         self.n = n
         # Stable sort groups equal keys while preserving time order
         # inside each group — the order the automaton actually steps in.
-        # int32 keys halve the radix passes; every table index fits.
-        self.order = np.argsort(keys.astype(np.int32), kind="stable")
-        sorted_keys = keys[self.order]
+        # numpy's stable sort is a radix sort only for integers of at
+        # most 16 bits.  Casting to uint16 keeps distinct keys distinct
+        # whenever they span at most 2**16 values, and the scans need
+        # only the groups, not their order.
+        sort_keys = keys
+        if n and int(keys.max()) - int(keys.min()) <= np.iinfo(np.uint16).max:
+            sort_keys = keys.astype(np.uint16)
+        self.order = np.argsort(sort_keys, kind="stable")
+        sorted_keys = sort_keys[self.order]
         new_group = np.empty(n, dtype=bool)
         if n:
             new_group[0] = True
             new_group[1:] = sorted_keys[1:] != sorted_keys[:-1]
         self.new_group = new_group
-        self.segment = np.cumsum(new_group) - 1
+        starts = np.flatnonzero(new_group)
+        self.longest = int(np.diff(starts, append=n).max()) if n else 0
 
     def counter_states(
         self, steps: np.ndarray, init: int = _INIT_STATE
@@ -240,49 +303,45 @@ class _KeyGroups:
             init: state every entry starts in.
 
         Returns:
-            int array (n,) — each entry's state *before* its access, in
-            original stream order; equivalent to a sequential replay.
+            uint8 array (n,) — each entry's state *before* its access,
+            in original stream order; equivalent to a sequential replay.
 
-        A saturating step is the map ``s -> min(hi, max(lo, s + a))``,
-        and that family is closed under composition — composing two such
-        maps sums the shifts and narrows the clamp window.  The whole
-        group-prefix problem therefore reduces to a segmented
-        Hillis-Steele scan over three flat integer arrays (shift, low
-        clamp, high clamp): O(n log n) vector arithmetic, bit-exact.
+        Each access applies a map of the four states onto themselves,
+        coded as one byte (:func:`_state_map_code`), and composing two
+        maps is one lookup in the 65,536-entry :func:`_compose_table`.  A
+        group's head gets the *constant* map "init, then its own step",
+        so a composition reaching back past a head ignores everything
+        before it.  No segment masks are needed: a Hillis-Steele
+        inclusive scan with ``ceil(log2(longest group))`` passes leaves
+        every access holding a constant map — its state after the
+        access — in O(n log n) byte lookups, bit-exact.
         """
         n = self.n
-        if n == 0:
-            return np.empty(0, dtype=np.int32)
-        segment = self.segment
-        shift = steps[self.order].astype(np.int32)
-        low = np.zeros(n, dtype=np.int32)
-        high = np.full(n, _MAX_STATE, dtype=np.int32)
+        # Entries 0-2 code the plain steps, entries 3-5 a group head's
+        # constant map: init, then the head's own step.
+        table = np.array(
+            _STEP_CODES + tuple(
+                _CONSTANT_CODE * _saturate(init + step) for step in _STEPS
+            ),
+            dtype=np.uint8,
+        )
+        code = table[self.new_group * len(_STEPS) + steps[self.order] + 1]
 
-        step = 1
-        while step < n:
-            same = segment[step:] == segment[:-step]
-            if not np.any(same):
-                # Segments are contiguous: no pair at this distance in
-                # one segment means none at any larger distance either.
-                break
-            # Compose prefix[i] (later window, g) after prefix[i-step]
-            # (earlier window, f): clamp_g(clamp_f(s + a_f) + a_g).
-            shift_f, low_f, high_f = shift[:-step], low[:-step], high[:-step]
-            shift_g, low_g, high_g = shift[step:], low[step:], high[step:]
-            shift_c = shift_f + shift_g
-            low_c = np.minimum(high_g, np.maximum(low_g, low_f + shift_g))
-            high_c = np.minimum(high_g, np.maximum(low_g, high_f + shift_g))
-            shift[step:] = np.where(same, shift_c, shift_g)
-            low[step:] = np.where(same, low_c, low_g)
-            high[step:] = np.where(same, high_c, high_g)
-            step *= 2
+        compose = _compose_table()
+        span = 1
+        while span < self.longest:
+            # code[i] := code[i] after code[i - span], one window earlier.
+            pair = code[:-span].astype(np.intp)
+            pair <<= 8
+            pair |= code[span:]
+            code[span:] = compose[pair]
+            span *= 2
 
-        state_after = np.minimum(high, np.maximum(low, init + shift))
-        state_before = np.empty(n, dtype=np.int32)
-        state_before[1:] = state_after[:-1]
+        state_before = np.empty(n, dtype=np.uint8)
+        state_before[1:] = code[:-1] & _MAX_STATE
         state_before[self.new_group] = init
 
-        out = np.empty(n, dtype=np.int32)
+        out = np.empty(n, dtype=np.uint8)
         out[self.order] = state_before
         return out
 
@@ -336,28 +395,19 @@ def _two_level_indices(
 ) -> np.ndarray:
     """Exact two-level pattern-table indices (per-site local history)."""
     n = int(sites.shape[0])
-    slots = sites & site_mask
-    order = np.argsort(slots, kind="stable")
-    sorted_slots = slots[order]
-    bits = taken[order].astype(np.int64)
-
-    new_group = np.empty(n, dtype=bool)
-    new_group[0] = True
-    new_group[1:] = sorted_slots[1:] != sorted_slots[:-1]
-    segment = np.cumsum(new_group) - 1
-
-    history = np.zeros(n, dtype=np.int64)
+    groups = _KeyGroups(sites & site_mask)
+    # A slot's local history is the global history of its own grouped
+    # sub-stream, minus the bits that reach back past the group's head.
+    history = _global_history(taken[groups.order], history_mask)
+    position = np.arange(n)
+    depth = position - np.maximum.accumulate(
+        np.where(groups.new_group, position, 0)
+    )
     history_bits = int(history_mask).bit_length()
-    for age in range(1, history_bits + 1):
-        if age >= n + 1:
-            break
-        same = segment[age:] == segment[:-age]
-        shifted = bits[:-age] << (age - 1)
-        history[age:][same] |= shifted[same]
-    history &= history_mask
+    history &= (1 << np.minimum(depth, history_bits)) - 1
 
     out = np.empty(n, dtype=np.int64)
-    out[order] = history
+    out[groups.order] = history
     return out
 
 

@@ -132,8 +132,9 @@ def _stratified_assign(n, fractions, labels, default_label, rng) -> np.ndarray:
     for label, count in zip(labels, counts):
         out[cursor:cursor + count] = label
         cursor += count
-    rng.shuffle(out)
-    return out
+    # Same draws and result as rng.shuffle(out), but shuffling an intp
+    # permutation takes numpy's word-sized swap path.
+    return out[rng.permutation(n)]
 
 
 class RegionLayout:

@@ -39,10 +39,7 @@ def pairs():
 
 class TestGoldenSpanTree:
     #: Stage spans of one cache-miss pair, in execution order.
-    COLD_STAGES = [
-        "trace.gen", "engine.vector.analyze", "engine.exec",
-        "counters.validate",
-    ]
+    COLD_STAGES = ["trace.gen", "engine.exec", "counters.validate"]
 
     def test_cold_then_cached_sweep(self, tmp_path, pairs):
         trace_path = tmp_path / "trace.jsonl"
@@ -64,7 +61,7 @@ class TestGoldenSpanTree:
         assert cached_root["attrs"]["cache_hits"] == 2
 
         # Cold sweep: one pair.run per pair, each with the full stage
-        # pipeline; engine.exec carries the vector sub-stages.
+        # pipeline; engine.exec carries the vector analysis and sub-stages.
         cold_pairs = children[cold_root["id"]]
         assert [r["name"] for r in cold_pairs] == ["pair.run", "pair.run"]
         assert [r["attrs"]["pair"] for r in cold_pairs] == [
@@ -79,7 +76,8 @@ class TestGoldenSpanTree:
                 if r["name"] == "engine.exec"
             ][0]
             assert child_names(children, exec_span) == [
-                "engine.vector.memory", "engine.vector.branch",
+                "engine.vector.analyze", "engine.vector.memory",
+                "engine.vector.branch",
             ]
 
         # Cached sweep: the pair.run spans are leaf cache-hit markers.

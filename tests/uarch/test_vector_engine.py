@@ -26,6 +26,8 @@ from tests.perf.test_validate import workload_profiles
 
 OPS = 20_000
 
+PREDICTORS = ["static", "bimodal", "gshare", "two_level", "tournament"]
+
 
 def result_dict(result):
     return dataclasses.asdict(result)
@@ -57,9 +59,7 @@ def mcf_trace(haswell, mcf_ref):
 
 
 class TestParity:
-    @pytest.mark.parametrize("predictor", [
-        "static", "bimodal", "gshare", "two_level", "tournament",
-    ])
+    @pytest.mark.parametrize("predictor", PREDICTORS)
     def test_every_predictor_family(self, haswell, mcf_ref, predictor):
         config = haswell.with_predictor(predictor)
         trace = TraceGenerator(config).generate(mcf_ref, n_ops=OPS)
@@ -152,6 +152,19 @@ class TestSessionParity:
         vec = PerfSession(sample_ops=OPS, engine="vector").run(mcf_ref)
         auto = PerfSession(sample_ops=OPS, engine="auto").run(mcf_ref)
         assert dict(scalar) == dict(vec) == dict(auto)
+
+    @pytest.mark.parametrize("predictor", PREDICTORS)
+    def test_branch_free_profile(self, haswell, mcf_ref, predictor):
+        """No conditional branches leaves every predictor table empty."""
+        profile = dataclasses.replace(
+            mcf_ref, mix=dataclasses.replace(mcf_ref.mix, branch_fraction=0.0)
+        )
+        config = haswell.with_predictor(predictor)
+        trace = TraceGenerator(config).generate(profile, n_ops=OPS)
+        assert SimulatedCore(config).resolve_engine(trace) == "vector"
+        scalar = PerfSession(config, sample_ops=OPS, engine="scalar")
+        auto = PerfSession(config, sample_ops=OPS, engine="auto")
+        assert dict(scalar.run(profile)) == dict(auto.run(profile))
 
     def test_resolved_engine_exposed(self, mcf_ref):
         assert PerfSession(sample_ops=OPS).resolved_engine == "vector"
