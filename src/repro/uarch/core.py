@@ -32,14 +32,7 @@ from ..workloads.calibrate import (
     PipelineParams,
     solve_pipeline_params,
 )
-from ..workloads.generator import (
-    BR_CONDITIONAL,
-    BR_INDIRECT_JUMP,
-    KIND_BRANCH,
-    KIND_LOAD,
-    KIND_STORE,
-    SyntheticTrace,
-)
+from ..workloads.generator import BR_INDIRECT_JUMP, KIND_STORE, SyntheticTrace
 from . import vector
 from .branch import BranchPredictor, PredictorStats, make_predictor
 from .hierarchy import HierarchyStats, MemoryHierarchy
@@ -245,10 +238,8 @@ class SimulatedCore:
         tracker = FootprintTracker(trace.profile, trace.pages_per_touch)
 
         # ---- memory stream -------------------------------------------------
-        kind = trace.kind
-        mem_mask = (kind == KIND_LOAD) | (kind == KIND_STORE)
-        mem_idx = np.flatnonzero(mem_mask)
-        mem_is_store = (kind[mem_idx] == KIND_STORE).tolist()
+        mem_idx = trace.mem_idx
+        mem_is_store = (trace.kind[mem_idx] == KIND_STORE).tolist()
         mem_addrs = trace.addr[mem_idx].tolist()
         mem_pages = trace.new_page[mem_idx].tolist()
         mem_warmup = int(len(mem_addrs) * warmup_fraction)
@@ -267,10 +258,8 @@ class SimulatedCore:
             on_mem(page)
 
         # ---- conditional branch stream --------------------------------------
-        branch_mask = kind == KIND_BRANCH
-        cond_mask = branch_mask & (trace.btype == BR_CONDITIONAL)
-        sites = trace.site[cond_mask].tolist()
-        outcomes = trace.taken[cond_mask].tolist()
+        sites = trace.site[trace.cond_idx].tolist()
+        outcomes = trace.taken[trace.cond_idx].tolist()
         # Table predictors need a few thousand observations to converge;
         # extend the warmup window for short conditional streams (but never
         # past half the stream so something is always measured).
@@ -305,10 +294,8 @@ class SimulatedCore:
         # Indirect-jump targets are not modeled per-address; they carry the
         # fixed mispredict probability from calibration, drawn
         # deterministically from the trace seed.
-        branch_mask = trace.kind == KIND_BRANCH
-        n_indirect = int(np.count_nonzero(
-            branch_mask & (trace.btype == BR_INDIRECT_JUMP)
-        ))
+        subtypes = trace.branch_subtype_counts()
+        n_indirect = subtypes[BR_INDIRECT_JUMP]
         indirect_window = n_indirect - int(n_indirect * warmup_fraction)
         rng = random.Random(trace.seed ^ 0x1D1)
         indirect_misses = sum(
@@ -316,7 +303,7 @@ class SimulatedCore:
             if rng.random() < INDIRECT_JUMP_MISPREDICT
         )
 
-        n_branches_trace = int(np.count_nonzero(branch_mask))
+        n_branches_trace = trace.n_branches
         window_ops = trace.n_ops - int(trace.n_ops * warmup_fraction)
         stats = measurement.hierarchy
         served = stats.load_served
@@ -325,7 +312,7 @@ class SimulatedCore:
             trace_loads=trace.n_loads,
             trace_stores=trace.n_stores,
             trace_branches=n_branches_trace,
-            branch_subtypes=trace.branch_subtype_counts(),
+            branch_subtypes=subtypes,
             hierarchy=stats,
             predictor=measurement.predictor,
             window_conditionals=measurement.window_conditionals,

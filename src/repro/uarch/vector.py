@@ -27,7 +27,10 @@ generated traces:
    saturating counter is a 4-state automaton whose per-access transition
    is known up front; the exact state *before* each access is recovered
    with a prefix scan of byte-coded transition maps over the index-sorted
-   stream, one table lookup per composition (O(n log n), bit-exact).
+   stream, one table lookup per composition, bit-exact.  Saturation
+   makes most compositions constant within a few steps, and a constant
+   map is final, so after two dense passes the scan touches only the
+   few entries still unresolved, and it skips zero steps altogether.
 
 The parity guarantee — identical integer counters, identical derived
 floats — is enforced by the test suite over every predictor family and
@@ -36,6 +39,7 @@ replacement policy, and continuously by the A/B benchmark harness.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -45,14 +49,8 @@ import numpy as np
 from .. import obs
 from ..config import SystemConfig
 from ..errors import SimulationError
-from ..workloads.generator import (
-    BR_CONDITIONAL,
-    KIND_BRANCH,
-    KIND_LOAD,
-    KIND_STORE,
-    SyntheticTrace,
-)
-from .branch import PredictorStats, make_predictor
+from ..workloads.generator import KIND_STORE, SyntheticTrace
+from .branch import BranchPredictor, PredictorStats, make_predictor
 from .cache import CacheStats
 from .hierarchy import HierarchyStats
 from .memory import FootprintEstimate, FootprintTracker
@@ -145,8 +143,7 @@ def analyze_trace(config: SystemConfig, trace: SyntheticTrace):
     and falls through.  Anything in between (or any cross-region set
     sharing, which priming could turn into evictions) is unsupported.
     """
-    kind = trace.kind
-    mem_idx = np.flatnonzero((kind == KIND_LOAD) | (kind == KIND_STORE))
+    mem_idx = trace.mem_idx
     hit_levels = np.full(_N_REGIONS, len(config.cache_levels()) + 1,
                          dtype=np.int64)
     if mem_idx.size == 0:
@@ -158,38 +155,37 @@ def analyze_trace(config: SystemConfig, trace: SyntheticTrace):
     if int(regions.max()) >= _N_REGIONS:
         return "memory op with an unknown region id", None
 
+    # Each region's line set is a few dozen lines: the per-level checks
+    # below are plain set logic over Python ints.
     region_lines = []
     for region in range(_N_REGIONS):
         lines = _cyclic_sweep_lines(addrs[regions == region])
         if lines is None:
             return ("region %d is not a cyclic sweep of its line set"
                     % region), None
-        region_lines.append(lines)
+        region_lines.append(lines.tolist())
 
     for level_index, level in enumerate(config.cache_levels()):
         offset_bits = level.line_size.bit_length() - 1
         set_mask = level.num_sets - 1
         ways = level.associativity
         per_region_sets = [
-            (lines >> offset_bits) & set_mask for lines in region_lines
+            Counter((line >> offset_bits) & set_mask for line in lines)
+            for lines in region_lines
         ]
         # Set-exclusivity: priming pushes every line through every level,
         # so two regions sharing a set could evict each other's lines.
-        combined = np.concatenate(
-            [np.unique(sets) for sets in per_region_sets]
-        )
-        if np.unique(combined).size != combined.size:
-            return "%s: two regions share a cache set" % level.name, None
-        for region in range(_N_REGIONS):
-            if hit_levels[region] <= level_index:
-                continue  # already resolved to an inner level
-            sets = per_region_sets[region]
-            if not sets.size:
-                continue
-            distinct, occupancy = np.unique(sets, return_counts=True)
-            if int(occupancy.max()) <= ways:
+        touched = set()
+        for occupancy in per_region_sets:
+            if not touched.isdisjoint(occupancy):
+                return "%s: two regions share a cache set" % level.name, None
+            touched.update(occupancy)
+        for region, occupancy in enumerate(per_region_sets):
+            if hit_levels[region] <= level_index or not occupancy:
+                continue  # already resolved to an inner level, or unused
+            if max(occupancy.values()) <= ways:
                 hit_levels[region] = level_index + 1
-            elif distinct.size != 1:
+            elif len(occupancy) != 1:
                 return (
                     "%s: region %d neither fits nor thrashes a single set"
                     % (level.name, region)
@@ -288,8 +284,6 @@ class _KeyGroups:
             new_group[0] = True
             new_group[1:] = sorted_keys[1:] != sorted_keys[:-1]
         self.new_group = new_group
-        starts = np.flatnonzero(new_group)
-        self.longest = int(np.diff(starts, append=n).max()) if n else 0
 
     def counter_states(
         self, steps: np.ndarray, init: int = _INIT_STATE
@@ -311,12 +305,17 @@ class _KeyGroups:
         maps is one lookup in the 65,536-entry :func:`_compose_table`.  A
         group's head gets the *constant* map "init, then its own step",
         so a composition reaching back past a head ignores everything
-        before it.  No segment masks are needed: a Hillis-Steele
-        inclusive scan with ``ceil(log2(longest group))`` passes leaves
-        every access holding a constant map — its state after the
-        access — in O(n log n) byte lookups, bit-exact.
+        before it.  Zero steps leave their entry alone, so only the
+        heads and the nonzero steps are scanned
+        (:func:`_scan_state_maps`); every other access reads the state
+        its entry's latest move left.  Bit-exact.
         """
-        n = self.n
+        sorted_steps = steps[self.order]
+        heads = self.new_group
+        moves = heads | (sorted_steps != 0)
+        skip_zeros = not moves.all()
+        if skip_zeros:
+            sorted_steps, heads = sorted_steps[moves], heads[moves]
         # Entries 0-2 code the plain steps, entries 3-5 a group head's
         # constant map: init, then the head's own step.
         table = np.array(
@@ -325,25 +324,62 @@ class _KeyGroups:
             ),
             dtype=np.uint8,
         )
-        code = table[self.new_group * len(_STEPS) + steps[self.order] + 1]
+        code = table[heads * len(_STEPS) + sorted_steps + 1]
+        _scan_state_maps(code)
+        state_after = code & _MAX_STATE
+        if skip_zeros:
+            # The state after each access is the one its latest move left.
+            state_after = state_after[np.cumsum(moves) - 1]
 
-        compose = _compose_table()
-        span = 1
-        while span < self.longest:
-            # code[i] := code[i] after code[i - span], one window earlier.
-            pair = code[:-span].astype(np.intp)
-            pair <<= 8
-            pair |= code[span:]
-            code[span:] = compose[pair]
-            span *= 2
-
-        state_before = np.empty(n, dtype=np.uint8)
-        state_before[1:] = code[:-1] & _MAX_STATE
+        state_before = np.empty(self.n, dtype=np.uint8)
+        state_before[1:] = state_after[:-1]
         state_before[self.new_group] = init
 
-        out = np.empty(n, dtype=np.uint8)
+        out = np.empty(self.n, dtype=np.uint8)
         out[self.order] = state_before
         return out
+
+
+#: Dense Hillis-Steele passes before the scan compacts to the entries
+#: whose map is still not constant.
+_DENSE_PASSES = 2
+
+
+def _not_constant(code: np.ndarray) -> np.ndarray:
+    """Which state-map codes send some two states to different images."""
+    return ((code ^ (code >> 2)) & 0x3F) != 0
+
+
+def _scan_state_maps(code: np.ndarray) -> None:
+    """Inclusive Hillis-Steele scan of state-map codes, in place.
+
+    ``code[i]`` becomes the composition of every map up to ``i``, read
+    back to the nearest constant map (a group head at the latest), which
+    makes it constant: the state after access ``i``.  A constant map is
+    final whatever precedes it, and saturation makes most maps constant
+    within a few steps, so after ``_DENSE_PASSES`` passes over the whole
+    array the scan continues over only the entries not yet constant.
+    """
+    compose = _compose_table()
+    span = 1
+    for _ in range(_DENSE_PASSES):
+        # code[i] := code[i] after code[i - span], one window earlier.
+        pair = code[:-span].astype(np.intp)
+        pair <<= 8
+        pair |= code[span:]
+        code[span:] = compose[pair]
+        span *= 2
+    # A map that is still not constant has no head within its window,
+    # so ``pending - span`` stays inside its group.
+    pending = np.flatnonzero(_not_constant(code))
+    while pending.size:
+        pair = code[pending - span].astype(np.intp)
+        pair <<= 8
+        pair |= code[pending]
+        merged = compose[pair]
+        code[pending] = merged
+        pending = pending[_not_constant(merged)]
+        span *= 2
 
 
 def _grouped_counter_states(
@@ -411,15 +447,21 @@ def _two_level_indices(
     return out
 
 
+@lru_cache(maxsize=None)
+def _prototype(predictor_name: str) -> BranchPredictor:
+    """A scalar predictor read only for its table geometry.
+
+    Built once per family, so both engines always share one source of
+    defaults without building a full predictor per trace.
+    """
+    return make_predictor(predictor_name)
+
+
 def _conditional_predictions(
     predictor_name: str, sites: np.ndarray, taken: np.ndarray
 ) -> np.ndarray:
-    """Predicted direction for every conditional, per predictor family.
-
-    Table geometries come from a throwaway instance of the scalar
-    predictor so both engines always share one source of defaults.
-    """
-    proto = make_predictor(predictor_name)
+    """Predicted direction for every conditional, per predictor family."""
+    proto = _prototype(predictor_name)
     if predictor_name == "static":
         return np.ones(sites.shape[0], dtype=bool)
     if predictor_name == "bimodal":
@@ -474,17 +516,14 @@ def execute_vector(
     for a supported config/trace pair; the result is then bit-identical
     to the scalar engine's measurement.
     """
-    kind = trace.kind
     with obs.profile("engine.vector.memory") as span:
         # One bincount over (hit level, is_store) codes.
-        mem_idx = np.flatnonzero((kind == KIND_LOAD) | (kind == KIND_STORE))
+        mem_idx = trace.mem_idx
         n_mem = int(mem_idx.size)
         span.set("ops", n_mem)
-        mem_warmup = int(n_mem * warmup_fraction)
-        window_levels = hit_levels[
-            trace.region[mem_idx[mem_warmup:]].astype(np.int64)
-        ]
-        window_stores = kind[mem_idx[mem_warmup:]] == KIND_STORE
+        window_idx = mem_idx[int(n_mem * warmup_fraction):]
+        window_levels = hit_levels[trace.region[window_idx].astype(np.int64)]
+        window_stores = trace.kind[window_idx] == KIND_STORE
         codes = np.bincount(
             (window_levels - 1) * 2 + window_stores, minlength=2 * _N_REGIONS
         )
@@ -519,9 +558,9 @@ def execute_vector(
 
     with obs.profile("engine.vector.branch") as span:
         # Conditional branches: grouped automaton evaluation.
-        cond_mask = (kind == KIND_BRANCH) & (trace.btype == BR_CONDITIONAL)
-        sites = trace.site[cond_mask].astype(np.int64)
-        taken = np.ascontiguousarray(trace.taken[cond_mask])
+        cond_idx = trace.cond_idx
+        sites = trace.site[cond_idx].astype(np.int64)
+        taken = trace.taken[cond_idx]
         n_cond = int(sites.shape[0])
         span.set("ops", n_cond)
         cond_warmup = min(

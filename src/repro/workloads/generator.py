@@ -15,6 +15,7 @@ met by construction rather than by hoping a random stream lands right.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 import numpy as np
@@ -36,6 +37,7 @@ BR_DIRECT_JUMP = 1
 BR_DIRECT_CALL = 2
 BR_INDIRECT_JUMP = 3
 BR_INDIRECT_RETURN = 4
+_N_SUBTYPES = 5
 
 #: Sentinel for "not a branch" / "not a memory op".
 NO_BRANCH = 255
@@ -64,6 +66,12 @@ class SyntheticTrace:
     All arrays share one length (``n_ops``).  Non-memory ops carry
     ``addr == -1`` and ``region == NO_REGION``; non-branch ops carry
     ``btype == NO_BRANCH`` and ``site == -1``.
+
+    The index sets (``mem_idx``, ``branch_idx``, ``cond_idx``) and the
+    per-kind counts are derived once per trace: :class:`TraceGenerator`
+    hands over the ones it built, and any other trace (a concatenation,
+    a slice, a ``dataclasses.replace`` copy) derives them on first use
+    from the definitions below.
     """
 
     profile: WorkloadProfile
@@ -86,27 +94,56 @@ class SyntheticTrace:
     def count(self, kind: int) -> int:
         return int(np.count_nonzero(self.kind == kind))
 
-    @property
-    def n_loads(self) -> int:
-        return self.count(KIND_LOAD)
+    @cached_property
+    def mem_idx(self) -> np.ndarray:
+        """Ascending positions of the memory ops (loads and stores)."""
+        kind = self.kind
+        return np.flatnonzero((kind == KIND_LOAD) | (kind == KIND_STORE))
+
+    @cached_property
+    def branch_idx(self) -> np.ndarray:
+        """Ascending positions of the branch ops."""
+        return np.flatnonzero(self.kind == KIND_BRANCH)
+
+    @cached_property
+    def cond_idx(self) -> np.ndarray:
+        """Ascending positions of the conditional branches."""
+        branch_idx = self.branch_idx
+        return branch_idx[self.btype[branch_idx] == BR_CONDITIONAL]
+
+    @cached_property
+    def n_stores(self) -> int:
+        return int(np.count_nonzero(self.kind[self.mem_idx] == KIND_STORE))
 
     @property
-    def n_stores(self) -> int:
-        return self.count(KIND_STORE)
+    def n_loads(self) -> int:
+        return int(self.mem_idx.shape[0]) - self.n_stores
 
     @property
     def n_branches(self) -> int:
-        return self.count(KIND_BRANCH)
+        return int(self.branch_idx.shape[0])
+
+    @cached_property
+    def _subtype_counts(self) -> Tuple[int, int, int, int, int]:
+        counts = np.bincount(self.btype[self.branch_idx], minlength=_N_SUBTYPES)
+        return tuple(int(count) for count in counts[:_N_SUBTYPES])
 
     def branch_subtype_counts(self) -> Tuple[int, int, int, int, int]:
         """Executed-branch counts in counter order (cond, djmp, call, ijmp,
         iret)."""
-        branch_types = self.btype[self.kind == KIND_BRANCH]
-        return tuple(
-            int(np.count_nonzero(branch_types == subtype))
-            for subtype in (BR_CONDITIONAL, BR_DIRECT_JUMP, BR_DIRECT_CALL,
-                            BR_INDIRECT_JUMP, BR_INDIRECT_RETURN)
-        )
+        return self._subtype_counts
+
+
+def _adopt_index_sets(trace: SyntheticTrace, **index_sets) -> SyntheticTrace:
+    """Install index sets built alongside ``trace`` as its derived ones.
+
+    Each value must equal what the same-named :class:`SyntheticTrace`
+    property derives; it is stored where that property caches its
+    result, so the property never runs.
+    """
+    for name, value in index_sets.items():
+        object.__setattr__(trace, name, value)
+    return trace
 
 
 def _log2(value: int) -> int:
@@ -240,36 +277,48 @@ class TraceGenerator:
             rng,
         )
 
+        # --- index sets ---------------------------------------------------
+        # Built once here and handed to the trace, so nothing downstream
+        # re-derives them from ``kind``.
+        mem_idx = np.flatnonzero((kind == KIND_LOAD) | (kind == KIND_STORE))
+        br_idx = np.flatnonzero(kind == KIND_BRANCH)
+        n_mem = int(mem_idx.size)
+
         # --- memory addresses ----------------------------------------------
+        # Region and address work runs on the memory sub-stream, then
+        # lands in the full-length arrays with one scatter each.
         mem = profile.memory
         regions = solve_region_fractions(
             mem.target_l1_miss_rate, mem.target_l2_miss_rate, mem.target_l3_miss_rate
         )
         addr = np.full(n_ops, -1, dtype=np.int64)
         region = np.full(n_ops, NO_REGION, dtype=np.uint8)
-        mem_mask = (kind == KIND_LOAD) | (kind == KIND_STORE)
-        mem_idx = np.flatnonzero(mem_mask)
-        if mem_idx.size:
+        n_stores = 0
+        if n_mem:
             hot, warm, cool, dram = regions.as_tuple()
             # Stratify loads and stores independently: the paper's miss
             # rates are *load* miss rates, so the load sub-stream must carry
             # the exact region proportions rather than a random share of a
             # combined assignment.
-            for op_kind in (KIND_LOAD, KIND_STORE):
-                kind_idx = np.flatnonzero(kind == op_kind)
-                if not kind_idx.size:
-                    continue
-                choice = _stratified_assign(
-                    kind_idx.size, (warm, cool, dram), (1, 2, 3), 0, rng
-                )
-                region[kind_idx] = choice
+            mem_is_store = kind[mem_idx] == KIND_STORE
+            store_pos = np.flatnonzero(mem_is_store)
+            n_stores = int(store_pos.size)
+            mem_region = np.empty(n_mem, dtype=np.uint8)
+            for positions in (np.flatnonzero(~mem_is_store), store_pos):
+                if positions.size:
+                    mem_region[positions] = _stratified_assign(
+                        positions.size, (warm, cool, dram), (1, 2, 3), 0, rng
+                    )
             # One cyclic cursor per region across the whole merged stream,
             # so interleaved loads and stores share each region's sweep.
+            mem_addr = np.empty(n_mem, dtype=np.int64)
             for region_id, lines in enumerate(self.layout.lines):
-                hits = np.flatnonzero(region[mem_idx] == region_id)
+                hits = np.flatnonzero(mem_region == region_id)
                 if hits.size:
-                    sequence = np.arange(hits.size) % len(lines)
-                    addr[mem_idx[hits]] = lines[sequence]
+                    cycles = -(-hits.size // lines.size)
+                    mem_addr[hits] = np.tile(lines, cycles)[:hits.size]
+            addr[mem_idx] = mem_addr
+            region[mem_idx] = mem_region
 
         # --- footprint first-touch events ------------------------------------
         # Each memory op first-touches a page with the probability implied
@@ -278,30 +327,35 @@ class TraceGenerator:
         # and each event stands for `pages_per_touch` pages instead.
         new_page = np.zeros(n_ops, dtype=bool)
         pages_per_touch = 1.0
-        if mem_idx.size:
+        if n_mem:
             nominal_mem_ops = profile.instructions * max(mix.memory_fraction, 1e-9)
             p_touch = min(1.0, mem.rss_bytes / (PAGE_SIZE * nominal_mem_ops))
-            p_floor = min(1.0, MIN_TOUCH_EVENTS / mem_idx.size)
+            p_floor = min(1.0, MIN_TOUCH_EVENTS / n_mem)
             if 0 < p_touch < p_floor:
                 # Boost the event rate to p_floor; each event then stands
                 # for proportionally *fewer* pages so the expectation is
                 # unchanged.
                 pages_per_touch = p_touch / p_floor
                 p_touch = p_floor
-            new_page[mem_idx] = rng.random(mem_idx.size) < p_touch
+            new_page[mem_idx] = rng.random(n_mem) < p_touch
 
         # --- branches ---------------------------------------------------------
         knobs = branch_knobs(profile)
         btype = np.full(n_ops, NO_BRANCH, dtype=np.uint8)
         site = np.full(n_ops, -1, dtype=np.int32)
         taken = np.zeros(n_ops, dtype=bool)
-        br_idx = np.flatnonzero(kind == KIND_BRANCH)
+        cond = br_idx
+        subtype_counts = (0,) * _N_SUBTYPES
         if br_idx.size:
             subtype_cum = np.cumsum(np.asarray(mix.branch_mix.as_tuple()))
             subtype = np.searchsorted(
                 subtype_cum, rng.random(br_idx.size) * subtype_cum[-1], side="right"
             )
-            subtype = np.minimum(subtype, BR_INDIRECT_RETURN).astype(np.uint8)
+            subtype = np.minimum(subtype, BR_INDIRECT_RETURN)
+            subtype_counts = tuple(
+                int(count)
+                for count in np.bincount(subtype, minlength=_N_SUBTYPES)
+            )
             btype[br_idx] = subtype
             # Unconditional branches are always taken.
             taken[br_idx] = True
@@ -325,7 +379,7 @@ class TraceGenerator:
                 hard_outcome = outcome_draws[1] < 0.5
                 taken[cond] = np.where(hard_mask, hard_outcome, easy_outcome)
 
-        return SyntheticTrace(
+        trace = SyntheticTrace(
             profile=profile,
             kind=kind,
             addr=addr,
@@ -338,4 +392,12 @@ class TraceGenerator:
             regions=regions,
             knobs=knobs,
             seed=seed,
+        )
+        return _adopt_index_sets(
+            trace,
+            mem_idx=mem_idx,
+            branch_idx=br_idx,
+            cond_idx=cond,
+            n_stores=n_stores,
+            _subtype_counts=subtype_counts,
         )

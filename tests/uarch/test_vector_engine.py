@@ -10,6 +10,7 @@ session/report level, and over randomized profiles (hypothesis).
 
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
@@ -19,7 +20,11 @@ from repro.perf.session import PerfSession
 from repro.uarch.branch import make_predictor
 from repro.uarch.core import ENGINES, SimulatedCore
 from repro.uarch import vector
-from repro.workloads.generator import TraceGenerator
+from repro.workloads.generator import (
+    KIND_LOAD,
+    NO_BRANCH,
+    TraceGenerator,
+)
 from repro.workloads.profile import InputSize
 
 from tests.perf.test_validate import workload_profiles
@@ -144,6 +149,112 @@ class TestFallback:
         config = policy_config("random")
         reason = vector.unsupported_reason(config)
         assert reason is not None and "random" in reason
+
+
+def loads_only_trace(base, accesses):
+    """``base`` with its ops replaced by loads at ``(region, addr)``."""
+    n = len(accesses)
+    return dataclasses.replace(
+        base,
+        kind=np.full(n, KIND_LOAD, dtype=np.uint8),
+        addr=np.array([addr for _, addr in accesses], dtype=np.int64),
+        region=np.array([region for region, _ in accesses], dtype=np.uint8),
+        btype=np.full(n, NO_BRANCH, dtype=np.uint8),
+        site=np.full(n, -1, dtype=np.int32),
+        taken=np.zeros(n, dtype=bool),
+        new_page=np.zeros(n, dtype=bool),
+    )
+
+
+def sweep(region, lines, cycles=2):
+    """Cyclic sweeps of ``lines`` in ascending order, as the generator
+    lays them out."""
+    return [(region, line) for _ in range(cycles) for line in sorted(lines)]
+
+
+#: Haswell geometry: 64-byte lines, 64 L1D sets (so lines 4096 bytes
+#: apart share an L1D set), 512 L2 sets (32768 bytes apart share one).
+L1_SET_STRIDE = 64 * 64
+L2_SET_STRIDE = 64 * 512
+
+#: Nine lines in L1D set 0 (one more than its 8 ways), spread over L2.
+L1_OVERFULL = [k * L1_SET_STRIDE for k in range(9)]
+
+
+class TestAnalyzeTraceReasons:
+    """Every reason :func:`vector.analyze_trace` can give, and their order."""
+
+    def reason(self, haswell, mcf_trace, accesses):
+        reason, hit_levels = vector.analyze_trace(
+            haswell, loads_only_trace(mcf_trace, accesses)
+        )
+        assert (reason is None) != (hit_levels is None)
+        return reason
+
+    def test_supported_layout_resolves_every_region(self, haswell, mcf_trace):
+        accesses = (
+            sweep(0, [64 * s for s in range(8, 16)])
+            + sweep(1, [64 + k * L1_SET_STRIDE for k in range(16)])
+            + sweep(2, [128 + k * L1_SET_STRIDE for k in range(8)])
+        )
+        reason, hit_levels = vector.analyze_trace(
+            haswell, loads_only_trace(mcf_trace, accesses)
+        )
+        assert reason is None
+        # Region 0 fits L1D one line per set, region 1 thrashes L1D set 1
+        # and fits L2, region 2 fills L1D set 2's 8 ways exactly, and the
+        # unused region 3 falls through to memory.
+        assert hit_levels.tolist() == [1, 2, 1, 4]
+
+    def test_sentinel_address(self, haswell, mcf_trace):
+        accesses = sweep(0, [0, 64]) + [(0, -1)]
+        assert self.reason(haswell, mcf_trace, accesses) == (
+            "memory op with a sentinel address"
+        )
+
+    def test_unknown_region_id(self, haswell, mcf_trace):
+        accesses = sweep(0, [0, 64]) + [(4, 128)]
+        assert self.reason(haswell, mcf_trace, accesses) == (
+            "memory op with an unknown region id"
+        )
+
+    def test_sentinel_reported_before_unknown_region(self, haswell, mcf_trace):
+        accesses = sweep(0, [0, 64]) + [(4, 128), (0, -1)]
+        assert self.reason(haswell, mcf_trace, accesses) == (
+            "memory op with a sentinel address"
+        )
+
+    def test_non_cyclic_region(self, haswell, mcf_trace):
+        accesses = sweep(0, [0, 64]) + [(2, 256), (2, 192), (2, 256)]
+        assert self.reason(haswell, mcf_trace, accesses) == (
+            "region 2 is not a cyclic sweep of its line set"
+        )
+
+    def test_shared_set(self, haswell, mcf_trace):
+        accesses = sweep(0, [0]) + sweep(1, [L1_SET_STRIDE])
+        assert self.reason(haswell, mcf_trace, accesses) == (
+            "L1D: two regions share a cache set"
+        )
+
+    @pytest.mark.parametrize("lines, level", [
+        # Nine lines in L1D set 0 plus one in set 1.
+        (L1_OVERFULL + [64], "L1D"),
+        # Ten lines thrash L1D set 0; at L2, nine share set 0 and one
+        # sits in set 64.
+        ([k * L2_SET_STRIDE for k in range(9)] + [L1_SET_STRIDE], "L2"),
+    ])
+    def test_neither_fits_nor_thrashes(self, haswell, mcf_trace, lines, level):
+        assert self.reason(haswell, mcf_trace, sweep(0, lines)) == (
+            "%s: region 0 neither fits nor thrashes a single set" % level
+        )
+
+    def test_shared_set_reported_before_misfit(self, haswell, mcf_trace):
+        # Region 0 neither fits nor thrashes L1D, and region 1 shares
+        # L1D set 1 with it: sharing is checked first at each level.
+        accesses = sweep(0, L1_OVERFULL + [64]) + sweep(1, [64 + L1_SET_STRIDE])
+        assert self.reason(haswell, mcf_trace, accesses) == (
+            "L1D: two regions share a cache set"
+        )
 
 
 class TestSessionParity:

@@ -72,6 +72,64 @@ class TestCounterStates:
         keys = np.full(length, 7, dtype=np.int64)
         assert_scan_matches_replay(keys, random_steps(rng, length), init)
 
+    @pytest.mark.parametrize("init", range(4))
+    @pytest.mark.parametrize("length", [
+        size for k in range(8) for size in (1 << k, (1 << k) + 1)
+    ])
+    def test_single_group_with_zero_steps(self, init, length):
+        rng = np.random.default_rng(1000 + length)
+        keys = np.full(length, 7, dtype=np.int64)
+        steps = random_steps(rng, length) * (rng.random(length) < 0.5)
+        assert_scan_matches_replay(keys, steps.astype(np.int32), init)
+
+    @pytest.mark.parametrize("init", range(4))
+    @pytest.mark.parametrize("key_range", [1, 48, 4096])
+    def test_mostly_zero_steps(self, init, key_range):
+        # A tournament chooser trains only on disagreement: most steps
+        # are zero, so only heads and moves are scanned.
+        rng = np.random.default_rng(key_range + init)
+        n = 5000
+        keys = rng.integers(0, key_range, n)
+        steps = random_steps(rng, n) * (rng.random(n) < 0.08)
+        assert np.count_nonzero(steps) <= n // 10
+        assert_scan_matches_replay(keys, steps.astype(np.int32), init)
+
+    @pytest.mark.parametrize("init", range(4))
+    def test_all_zero_steps(self, init):
+        rng = np.random.default_rng(init)
+        keys = rng.integers(0, 40, 700)
+        assert_scan_matches_replay(
+            keys, np.zeros(keys.size, dtype=np.int32), init
+        )
+
+    @pytest.mark.parametrize("init", range(4))
+    def test_steps_only_at_group_heads(self, init):
+        rng = np.random.default_rng(10 + init)
+        keys = rng.integers(0, 30, 900)
+        _, heads = np.unique(keys, return_index=True)
+        steps = np.zeros(keys.size, dtype=np.int32)
+        steps[heads] = rng.integers(-1, 2, heads.size)
+        assert_scan_matches_replay(keys, steps, init)
+
+    @pytest.mark.parametrize("init", range(4))
+    @pytest.mark.parametrize("first", [1, -1])
+    def test_long_alternating_group_never_saturates(self, init, first):
+        # +1/-1 pairs compose to a map that is never constant, so every
+        # entry stays pending until its window reaches the group head:
+        # the compacted passes run all the way to log2(length).
+        length = 5001
+        steps = np.where(np.arange(length) % 2 == 0, first, -first)
+        keys = np.zeros(length, dtype=np.int64)
+        assert_scan_matches_replay(keys, steps.astype(np.int32), init)
+
+    @pytest.mark.parametrize("init", range(4))
+    @pytest.mark.parametrize("direction", [1, -1])
+    def test_same_direction_groups(self, init, direction):
+        rng = np.random.default_rng(20 + init)
+        keys = rng.integers(0, 16, 800)
+        steps = np.full(keys.size, direction, dtype=np.int32)
+        assert_scan_matches_replay(keys, steps, init)
+
     def test_groups_do_not_leak_state(self):
         # A saturated group followed by a fresh one: the fresh group's
         # head must start from init, not from its neighbour's state.
