@@ -11,7 +11,6 @@ the subset-weighted ranking by rank correlation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -36,11 +35,6 @@ class RankingValidation:
     subset_scores: Tuple[float, ...]    # weighted subset estimate per config
     spearman: float
     kendall: float
-
-    @property
-    def rankings_agree(self) -> bool:
-        """True when the orderings are identical (tau == 1)."""
-        return math.isclose(self.kendall, 1.0, rel_tol=0.0, abs_tol=1e-9)
 
 
 class DesignRanker:

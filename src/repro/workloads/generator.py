@@ -235,10 +235,6 @@ class RegionLayout:
             np.asarray(dram, dtype=np.int64),
         )
 
-    def compulsory_lines(self) -> int:
-        """Total distinct lines (bounds the cold-miss transient)."""
-        return int(sum(len(lines) for lines in self.lines))
-
 
 class TraceGenerator:
     """Generates synthetic traces for one system configuration."""

@@ -1,8 +1,10 @@
 """``python -m repro`` must work as a process entry point."""
 
+import os
 import subprocess
 import sys
 
+import repro
 from repro.obs import Tracer
 
 
@@ -27,6 +29,20 @@ class TestMainModule:
         result = run_module("--sample-ops", "5000", "pair", "505.mcf_r")
         assert result.returncode == 0
         assert "IPC" in result.stdout
+
+    def test_startup_does_not_load_lint_stack(self):
+        """Importing the CLI leaves ``repro.lint`` to ``repro lint``."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        probe = ("import sys, repro.reports.cli; "
+                 "print(sorted(m for m in sys.modules "
+                 "if m == 'repro.lint' or m.startswith('repro.lint.')))")
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
     def test_bad_subcommand(self):
         result = run_module("explode")

@@ -38,9 +38,7 @@ class TestTopLevel:
 @pytest.mark.parametrize("module,names", [
     ("repro.uarch", ["Cache", "MemoryHierarchy", "SimulatedCore",
                      "InOrderCore", "PipelineModel", "FootprintTracker",
-                     "TLB", "BranchTargetBuffer", "ReturnAddressStack",
-                     "FrontEnd", "make_predictor", "make_policy",
-                     "NextLinePrefetcher", "StridePrefetcher"]),
+                     "make_predictor", "make_policy"]),
     ("repro.stats", ["PCA", "AgglomerativeClustering", "Dendrogram",
                      "pareto_front", "knee_point", "pearson", "sse",
                      "factor_loadings", "standardize"]),
