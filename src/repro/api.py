@@ -60,23 +60,22 @@ from .errors import (
     UnknownBenchmarkError,
     WorkloadError,
 )
-from .obs import (
+from .obs import MetricsRegistry, RunLedger, Tracer
+from .obs.critical import (
     CriticalPathReport,
+    UtilizationReport,
+    critical_path,
+    utilization,
+)
+from .obs.drift import (
     DriftDetector,
     DriftReport,
     DriftThresholds,
-    MetricsRegistry,
-    RunLedger,
-    SpanProfiler,
-    Tracer,
-    UtilizationReport,
     check_ledger,
-    chrome_trace,
-    critical_path,
-    export_chrome_trace,
-    load_spans,
-    utilization,
 )
+from .obs.profiler import SpanProfiler
+from .obs.summarize import load_spans
+from .obs.timeline import chrome_trace, export_chrome_trace
 from .perf import CounterReport, PerfSession
 from .phases import (
     PhaseDetector,

@@ -24,22 +24,20 @@ spans and metric snapshots back through the existing picklable result
 channel and stitches them into the parent's trace (``Tracer.graft`` /
 ``MetricsRegistry.merge``).
 
+The package namespace holds only what a run needs: the hooks, the
+tracer, metrics and the run ledger.  The offline analyzers are imported
+from their modules — :mod:`~repro.obs.summarize` (``SpanForest``, the
+per-stage table), :mod:`~repro.obs.critical`, :mod:`~repro.obs.timeline`,
+:mod:`~repro.obs.profiler` and :mod:`~repro.obs.drift` — so starting the
+CLI does not load them.
+
 Zero dependencies beyond the standard library, by design.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
-from .drift import (
-    DriftDetector,
-    DriftFinding,
-    DriftReport,
-    DriftThresholds,
-    check_ledger,
-    paper_anchor_vector,
-    sampling_rel_sigma,
-)
 from .ledger import (
     LEDGER_ENV,
     LEDGER_SCHEMA,
@@ -49,16 +47,6 @@ from .ledger import (
     characteristic_digest,
     default_ledger_path,
 )
-from .critical import (
-    CriticalPathReport,
-    PathSegment,
-    StageShare,
-    UtilizationReport,
-    WorkerLine,
-    critical_path,
-    critical_path_seconds,
-    utilization,
-)
 from .metrics import (
     DEFAULT_BUCKETS,
     DEFAULT_PREFIX,
@@ -66,24 +54,6 @@ from .metrics import (
     MetricsError,
     MetricsRegistry,
 )
-from .profiler import (
-    SpanProfiler,
-    merge_profile_data,
-    profile_digest,
-    render_collapsed,
-    render_top,
-)
-from .summarize import (
-    StageLine,
-    TraceFileError,
-    TraceSummary,
-    load_spans,
-    render_table,
-    render_tree,
-    summarize,
-    summarize_spans,
-)
-from .timeline import chrome_trace, export_chrome_trace
 from .trace import (
     DEFAULT_CAPACITY,
     NULL_SPAN,
@@ -93,15 +63,13 @@ from .trace import (
     Tracer,
 )
 
+if TYPE_CHECKING:
+    from .profiler import SpanProfiler
+
 __all__ = [
     "DEFAULT_BUCKETS",
     "DEFAULT_CAPACITY",
     "DEFAULT_PREFIX",
-    "CriticalPathReport",
-    "DriftDetector",
-    "DriftFinding",
-    "DriftReport",
-    "DriftThresholds",
     "ERROR_BUCKETS",
     "LEDGER_ENV",
     "LEDGER_SCHEMA",
@@ -110,52 +78,27 @@ __all__ = [
     "MetricsRegistry",
     "NULL_SPAN",
     "ObsError",
-    "PathSegment",
     "RunLedger",
     "STAGE_NAMES",
     "SpanHandle",
-    "SpanProfiler",
-    "StageLine",
-    "StageShare",
-    "TraceFileError",
-    "TraceSummary",
     "Tracer",
-    "UtilizationReport",
-    "WorkerLine",
     "absorb_worker_payload",
+    "active_profiler",
     "build_run_record",
     "characteristic_digest",
-    "check_ledger",
-    "chrome_trace",
     "count",
-    "critical_path",
-    "critical_path_seconds",
     "default_ledger_path",
     "disable",
     "enable",
     "enabled",
-    "export_chrome_trace",
     "in_span",
-    "load_spans",
-    "merge_profile_data",
     "observe",
-    "paper_anchor_vector",
-    "active_profiler",
     "profile",
-    "profile_digest",
     "profile_stage_names",
     "record",
     "registry",
-    "render_collapsed",
-    "render_table",
-    "render_top",
-    "render_tree",
-    "sampling_rel_sigma",
     "set_gauge",
-    "summarize",
-    "summarize_spans",
     "tracer",
-    "utilization",
     "worker_payload",
 ]
 
@@ -192,6 +135,8 @@ def enable(
     elif not metrics:
         _REGISTRY = None
     if profile_stages:
+        from .profiler import SpanProfiler
+
         _PROFILER = SpanProfiler(profile_stages)
         _TRACER.set_profiler(_PROFILER)
     else:
@@ -346,6 +291,8 @@ def absorb_worker_payload(
             # The parent had no matching stage open (pooled sweeps run
             # the stages in workers); adopt the worker's stage set so
             # the merged profile still surfaces through active_profiler.
+            from .profiler import SpanProfiler
+
             _PROFILER = SpanProfiler(worker_profile.get("stages") or [])
             if _TRACER is not None:
                 _TRACER.set_profiler(_PROFILER)

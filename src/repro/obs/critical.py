@@ -22,10 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .summarize import TraceFileError
+from .summarize import SpanForest, TraceFileError, require_timeline
 
 #: Span name the runner gives per-pair work (busy time for utilization).
 PAIR_SPAN = "pair.run"
+
+#: Span name of one ``SuiteRunner.run`` sweep.
+SWEEP_SPAN = "suite.run"
 
 
 def _t0(span: Dict[str, object]) -> float:
@@ -36,41 +39,31 @@ def _t1(span: Dict[str, object]) -> float:
     return _t0(span) + float(span.get("wall_s") or 0.0)
 
 
-def _require_timeline(spans: Sequence[Dict[str, object]]) -> None:
-    if spans and not any(
-        isinstance(span.get("t0_s"), (int, float)) for span in spans
-    ):
-        raise TraceFileError(
-            "trace has no t0_s start offsets (span schema < 2); re-record "
-            "it with --trace under this version to analyze the timeline"
-        )
-
-
-def _children_index(
-    spans: Sequence[Dict[str, object]],
-) -> Dict[object, List[Dict[str, object]]]:
-    children: Dict[object, List[Dict[str, object]]] = {}
-    known = {span.get("id") for span in spans}
-    for span in spans:
-        parent = span.get("parent")
-        children.setdefault(
-            parent if parent in known else None, []
-        ).append(span)
-    return children
-
-
-def _pick_root(
-    spans: Sequence[Dict[str, object]],
-    children: Dict[object, List[Dict[str, object]]],
-) -> Dict[str, object]:
-    roots = children.get(None, [])
-    if not roots:
+def _dominant_root(forest: SpanForest) -> Dict[str, object]:
+    """The root with the largest wall time, ties to the later start, so
+    a list holding several sweeps analyzes the dominant one."""
+    if not forest.roots:
         raise TraceFileError("trace holds no root span")
-    # The newest longest sweep: prefer the root with the largest wall
-    # time (ties to the later start) so a file holding several sweeps
-    # analyzes the dominant one.
-    return max(roots, key=lambda span: (float(span.get("wall_s") or 0.0),
-                                        _t0(span)))
+    return max(forest.roots, key=lambda span: (
+        float(span.get("wall_s") or 0.0), _t0(span),
+    ))
+
+
+def sweeps(
+    spans: Sequence[Dict[str, object]],
+) -> List[List[Dict[str, object]]]:
+    """Each sweep's spans: one subtree per ``suite.run`` root, in start
+    order, or the whole list as one sweep when it holds no such root.
+
+    The CLI reports each sweep on its own, so a file holding several
+    (``repro run all`` records two) never mixes their accounting.
+    """
+    forest = SpanForest(spans)
+    roots = sorted(
+        (root for root in forest.roots if root.get("name") == SWEEP_SPAN),
+        key=_t0,
+    )
+    return [forest.subtree(root) for root in roots] or [list(spans)]
 
 
 # ---------------------------------------------------------------------------
@@ -153,15 +146,14 @@ def critical_path(
     of the root's wall time lands on exactly one span, so the stage
     self-times sum to the root's wall time.
     """
-    _require_timeline(spans)
-    children = _children_index(spans)
+    require_timeline(spans)
+    forest = SpanForest(spans)
     if root_id is not None:
-        matches = [span for span in spans if span.get("id") == root_id]
-        if not matches:
+        root = forest.span(root_id)
+        if root is None:
             raise TraceFileError("no span with id %r in trace" % root_id)
-        root = matches[0]
     else:
-        root = _pick_root(spans, children)
+        root = _dominant_root(forest)
 
     segments: List[PathSegment] = []
 
@@ -170,7 +162,7 @@ def critical_path(
         """Attribute [lo, hi] of wall time to ``span`` and its children."""
         cursor = hi
         ordered = sorted(
-            children.get(span.get("id"), []),
+            forest.children(span),
             key=lambda child: (_t1(child), _t0(child)),
             reverse=True,
         )
@@ -336,9 +328,8 @@ def utilization(
     the rest of the sweep window (the analyzed root span's interval),
     and the longest internal gap exposes scheduling stalls.
     """
-    _require_timeline(spans)
-    children = _children_index(spans)
-    root = _pick_root(spans, children)
+    require_timeline(spans)
+    root = _dominant_root(SpanForest(spans))
     window_start, window_end = _t0(root), _t1(root)
     window = max(window_end - window_start, 0.0)
     main_pid = int(root.get("pid") or 0)

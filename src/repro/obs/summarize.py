@@ -1,11 +1,14 @@
 """Offline span analysis: turn a JSONL trace into a per-stage breakdown.
 
 The JSONL sink writes one finished span per line, children before
-parents.  This module rebuilds the tree and aggregates wall/CPU time per
-span *name* (the "stage"), attributing to each stage its **self time**
-(wall time minus the wall time of its direct children) as well as its
-cumulative time, so the table answers "where did the run actually go"
-without double counting nested stages.
+parents.  :class:`SpanForest` rebuilds the tree — it is the one place
+that links spans, and every analyzer (this module's summary, the
+critical path, utilization and the chrome export) reads through it.
+The summary aggregates wall/CPU time per span *name* (the "stage"),
+attributing to each stage its **self time** (wall time minus the wall
+time of its direct children) as well as its cumulative time, so the
+table answers "where did the run actually go" without double counting
+nested stages.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from ..errors import ReproError
 
@@ -92,24 +95,81 @@ def load_spans(path: str) -> List[Dict[str, object]]:
     return spans
 
 
+class SpanForest:
+    """The span trees of one recording, linked once for every analyzer.
+
+    Spans are indexed by their integer ``id``.  A span whose ``parent``
+    is ``None`` or names no span in the list is a root — a worker span
+    whose parent was evicted from a ring buffer still gets analyzed.
+    A span id that occurs twice means the list mixes recordings (a file
+    an older sink appended to), so the forest refuses it instead of
+    linking children to the wrong parent.
+
+    Roots and children keep the order of the span list.
+    """
+
+    def __init__(self, spans: Sequence[Dict[str, object]]):
+        self._by_id: Dict[int, Dict[str, object]] = {}
+        for span in spans:
+            span_id = span.get("id")
+            if not isinstance(span_id, int):
+                continue
+            if span_id in self._by_id:
+                raise TraceFileError(
+                    "span id %d occurs more than once: the trace holds more "
+                    "than one recording; re-record it with --trace"
+                    % span_id
+                )
+            self._by_id[span_id] = span
+        self.roots: List[Dict[str, object]] = []
+        self._children: Dict[int, List[Dict[str, object]]] = {}
+        for span in spans:
+            parent = span.get("parent")
+            if parent in self._by_id:
+                self._children.setdefault(parent, []).append(span)
+            else:
+                self.roots.append(span)
+
+    def span(self, span_id: int) -> Optional[Dict[str, object]]:
+        """The span with id ``span_id``, or ``None``."""
+        return self._by_id.get(span_id)
+
+    def children(self, span: Dict[str, object]) -> List[Dict[str, object]]:
+        """The direct children of ``span``."""
+        return self._children.get(span.get("id"), [])
+
+    def subtree(self, root: Dict[str, object]) -> List[Dict[str, object]]:
+        """``root`` and every span below it, parents before children."""
+        spans: List[Dict[str, object]] = []
+        stack = [root]
+        while stack:
+            span = stack.pop()
+            spans.append(span)
+            stack.extend(reversed(self.children(span)))
+        return spans
+
+
+def has_timeline(span: Dict[str, object]) -> bool:
+    """Does ``span`` carry a ``t0_s`` start offset (span schema >= 2)?"""
+    return isinstance(span.get("t0_s"), (int, float))
+
+
+def require_timeline(spans: Sequence[Dict[str, object]]) -> None:
+    """Refuse a non-empty trace none of whose spans has a start offset."""
+    if spans and not any(has_timeline(span) for span in spans):
+        raise TraceFileError(
+            "trace has no t0_s start offsets (span schema < 2); re-record "
+            "it with --trace under this version to analyze its timeline"
+        )
+
+
+def _wall(span: Dict[str, object]) -> float:
+    return float(span.get("wall_s") or 0.0)
+
+
 def summarize_spans(spans: List[Dict[str, object]]) -> TraceSummary:
     """Aggregate spans per stage name, computing self times."""
-    by_id: Dict[int, Dict[str, object]] = {}
-    children_wall: Dict[int, float] = {}
-    roots: List[Dict[str, object]] = []
-    for span in spans:
-        span_id = span.get("id")
-        if isinstance(span_id, int):
-            by_id[span_id] = span
-    for span in spans:
-        parent = span.get("parent")
-        if parent is None or parent not in by_id:
-            roots.append(span)
-        else:
-            children_wall[parent] = (
-                children_wall.get(parent, 0.0) + float(span.get("wall_s") or 0.0)
-            )
-
+    forest = SpanForest(spans)
     stages: Dict[str, StageLine] = {}
     total_self = 0.0
     for span in spans:
@@ -117,9 +177,8 @@ def summarize_spans(spans: List[Dict[str, object]]) -> TraceSummary:
         line = stages.get(name)
         if line is None:
             line = stages[name] = StageLine(name)
-        wall = float(span.get("wall_s") or 0.0)
-        span_id = span.get("id")
-        child_wall = children_wall.get(span_id, 0.0) if isinstance(span_id, int) else 0.0
+        wall = _wall(span)
+        child_wall = sum(_wall(child) for child in forest.children(span))
         self_s = max(wall - child_wall, 0.0)
         line.count += 1
         line.wall_s += wall
@@ -133,7 +192,8 @@ def summarize_spans(spans: List[Dict[str, object]]) -> TraceSummary:
         stages.values(), key=lambda line: (-line.self_s, line.name)
     )
     return TraceSummary(
-        spans=spans, stages=ordered, total_self_s=total_self, roots=roots
+        spans=spans, stages=ordered, total_self_s=total_self,
+        roots=forest.roots,
     )
 
 
@@ -166,11 +226,7 @@ def render_table(summary: TraceSummary) -> str:
 
 def render_tree(summary: TraceSummary, max_depth: Optional[int] = None) -> str:
     """An indented span tree (names + attrs), for debugging traces."""
-    children: Dict[Optional[int], List[Dict[str, object]]] = {}
-    for span in summary.spans:
-        children.setdefault(span.get("parent"), []).append(span)
-    known = {span.get("id") for span in summary.spans}
-
+    forest = SpanForest(summary.spans)
     lines: List[str] = []
 
     def walk(span: Dict[str, object], depth: int) -> None:
@@ -183,14 +239,12 @@ def render_tree(summary: TraceSummary, max_depth: Optional[int] = None) -> str:
         status = span.get("status")
         suffix = " [%s]" % status if status != "ok" else ""
         lines.append("%s%s (%.2f ms)%s%s" % (
-            "  " * depth, span.get("name"), 1e3 * float(span.get("wall_s") or 0.0),
+            "  " * depth, span.get("name"), 1e3 * _wall(span),
             (" " + attr_text) if attr_text else "", suffix,
         ))
-        for child in children.get(span.get("id"), []):
+        for child in forest.children(span):
             walk(child, depth + 1)
 
-    for span in summary.spans:
-        parent = span.get("parent")
-        if parent is None or parent not in known:
-            walk(span, 0)
+    for root in forest.roots:
+        walk(root, 0)
     return "\n".join(lines)

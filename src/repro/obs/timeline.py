@@ -17,22 +17,10 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, Sequence
 
-from .summarize import TraceFileError, load_spans
+from .summarize import SpanForest, has_timeline, load_spans, require_timeline
 
 #: Trace Event Format "other data" stamp.
 TIMELINE_SCHEMA = 1
-
-
-def _has_timeline(span: Dict[str, object]) -> bool:
-    return isinstance(span.get("t0_s"), (int, float))
-
-
-def _main_pid(spans: Sequence[Dict[str, object]]) -> int:
-    """The parent process: the pid recording the root spans."""
-    for span in spans:
-        if span.get("parent") is None:
-            return int(span.get("pid") or 0)
-    return int(spans[0].get("pid") or 0) if spans else 0
 
 
 def chrome_trace(
@@ -48,16 +36,15 @@ def chrome_trace(
             end of the timeline.
 
     Raises:
-        TraceFileError: When no span carries a timeline position.
+        TraceFileError: When no span carries a timeline position, or
+            when a span id occurs twice.
     """
-    placeable = [span for span in spans if _has_timeline(span)]
+    require_timeline(spans)
+    placeable = [span for span in spans if has_timeline(span)]
     skipped = len(spans) - len(placeable)
-    if spans and not placeable:
-        raise TraceFileError(
-            "trace has no t0_s start offsets (span schema < 2); re-record "
-            "it with --trace under this version to export a timeline"
-        )
-    main_pid = _main_pid(placeable)
+    # The parent process records the roots; worker spans hang below.
+    roots = SpanForest(placeable).roots
+    main_pid = int(roots[0].get("pid") or 0) if roots else 0
     events: List[Dict[str, object]] = []
     pids = []
     for span in placeable:

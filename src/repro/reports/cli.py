@@ -670,7 +670,8 @@ def _cmd_bench_diff(args) -> int:
 def _cmd_obs(args) -> int:
     import dataclasses
 
-    from ..obs import DriftThresholds, MetricsRegistry, RunLedger, check_ledger
+    from ..obs import MetricsRegistry, RunLedger
+    from ..obs.drift import DriftThresholds, check_ledger
     from ..obs.ledger import describe_code_change, diff_runs, render_history
 
     ledger = RunLedger(path=args.ledger)
@@ -757,13 +758,12 @@ def _cmd_phases(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    from ..obs import (
-        critical_path,
+    from ..obs.critical import critical_path, sweeps, utilization
+    from ..obs.summarize import (
         load_spans,
         render_table,
         render_tree,
         summarize_spans,
-        utilization,
     )
     from ..obs.timeline import chrome_trace
 
@@ -793,11 +793,15 @@ def _cmd_trace(args) -> int:
                len(other["workers"]))
         )
         return 0
+    # critical-path and utilization: one report per sweep, in start order.
     if args.trace_command == "critical-path":
-        print(critical_path(spans).render(limit=args.segments))
-        return 0
-    # utilization
-    print(utilization(spans).render())
+        reports = [
+            critical_path(sweep).render(limit=args.segments)
+            for sweep in sweeps(spans)
+        ]
+    else:
+        reports = [utilization(sweep).render() for sweep in sweeps(spans)]
+    print("\n\n".join(reports))
     return 0
 
 

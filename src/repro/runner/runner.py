@@ -463,28 +463,14 @@ class SuiteRunner:
         """Critical-path seconds of the newest traced sweep, if any.
 
         Best-effort, like every ledger enrichment: ``None`` when tracing
-        is off or the ring buffer no longer holds the sweep's root.
+        is off.
         """
         tracer = obs.tracer()
         if tracer is None:
             return None
-        from ..obs.critical import critical_path_seconds
+        from ..obs.critical import critical_path_seconds, sweeps
 
-        spans = tracer.finished()
-        roots = [s for s in spans if s.get("name") == "suite.run"]
-        if not roots:
-            return None
-        newest = max(roots, key=lambda s: int(s.get("id") or 0))
-        root_id = newest.get("id")
-        subtree_ids = {root_id}
-        # Finish-ordered records list children before parents, so one
-        # reverse pass collects the whole subtree.
-        subtree = [newest]
-        for span in reversed(spans):
-            if span.get("parent") in subtree_ids:
-                subtree_ids.add(span.get("id"))
-                subtree.append(span)
-        return critical_path_seconds(subtree)
+        return critical_path_seconds(sweeps(tracer.finished())[-1])
 
     @staticmethod
     def _sweep_profile_digest() -> Optional[str]:

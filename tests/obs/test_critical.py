@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.obs import TraceFileError, critical_path, utilization
-from repro.obs.critical import critical_path_seconds
+from repro.obs.critical import critical_path, critical_path_seconds, utilization
+from repro.obs.summarize import TraceFileError
 
 
 def span(span_id, parent, name, t0, wall, pid=100, **attrs):

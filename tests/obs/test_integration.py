@@ -236,7 +236,8 @@ class TestRetrySpanGraft:
         assert child_names(children, retry) == stages
 
     def test_utilization_counts_retry_time_as_busy(self, tmp_path, pairs):
-        from repro.obs import load_spans, utilization
+        from repro.obs.critical import utilization
+        from repro.obs.summarize import load_spans
 
         trace_path = tmp_path / "trace.jsonl"
         obs.enable(trace_path=str(trace_path))
@@ -274,12 +275,10 @@ class TestPerformanceAttributionAcceptance:
     """The ISSUE acceptance path: one traced sweep, three artifacts."""
 
     def test_traced_sweep_yields_timeline_path_and_profile(self, tmp_path):
-        from repro.obs import (
-            critical_path,
-            export_chrome_trace,
-            load_spans,
-            render_collapsed,
-        )
+        from repro.obs.critical import critical_path
+        from repro.obs.profiler import render_collapsed
+        from repro.obs.summarize import load_spans
+        from repro.obs.timeline import export_chrome_trace
 
         eight = cpu2017().pairs()[:8]
         trace_path = tmp_path / "trace.jsonl"

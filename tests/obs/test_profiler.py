@@ -5,8 +5,13 @@ import sys
 import pytest
 
 from repro import obs
-from repro.obs import SpanProfiler, render_collapsed, render_top
-from repro.obs.profiler import merge_profile_data, profile_digest
+from repro.obs.profiler import (
+    SpanProfiler,
+    merge_profile_data,
+    profile_digest,
+    render_collapsed,
+    render_top,
+)
 from repro.obs.trace import ObsError
 
 

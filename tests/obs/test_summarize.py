@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.obs import (
+from repro.obs.summarize import (
+    SpanForest,
     TraceFileError,
     load_spans,
     render_table,
@@ -70,6 +71,28 @@ class TestLoadSpans:
         with pytest.warns(UserWarning):
             spans = load_spans(str(path))
         assert len(spans) == len(SAMPLE)
+
+
+class TestSpanForest:
+    def test_roots_children_and_subtree(self):
+        forest = SpanForest(SAMPLE)
+        assert [r["id"] for r in forest.roots] == [1, 4]
+        assert [c["id"] for c in forest.children(forest.span(4))] == [5, 6]
+        assert forest.children(forest.span(5)) == []
+        assert [s["id"] for s in forest.subtree(forest.span(4))] == [4, 5, 6]
+
+    def test_span_with_unknown_parent_is_a_root(self):
+        # A ring buffer can evict a parent before its children.
+        forest = SpanForest([span(2, 1, "trace.gen", 0.3)])
+        assert [r["id"] for r in forest.roots] == [2]
+
+    def test_duplicate_id_refused_naming_the_id(self):
+        second_recording = [span(5, None, "pair.run", 0.2)]
+        with pytest.raises(TraceFileError, match="span id 5 .*more than "
+                                                 "one recording"):
+            SpanForest(SAMPLE + second_recording)
+        with pytest.raises(TraceFileError, match="span id 5"):
+            summarize_spans(SAMPLE + second_recording)
 
 
 class TestSummarizeSpans:

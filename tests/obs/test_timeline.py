@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.obs import TraceFileError, chrome_trace, export_chrome_trace
+from repro.obs.summarize import TraceFileError
+from repro.obs.timeline import chrome_trace, export_chrome_trace
 
 
 def span(span_id, parent, name, t0, wall, pid=100, **attrs):

@@ -44,6 +44,24 @@ class TestMainModule:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
 
+    def test_startup_does_not_load_trace_analyzers(self):
+        """Importing the CLI leaves the offline analyzers to the
+        subcommands that use them."""
+        analyzers = ["repro.obs.%s" % name for name in (
+            "critical", "drift", "profiler", "summarize", "timeline",
+        )]
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        probe = ("import sys, repro.reports.cli; "
+                 "print(sorted(m for m in sys.modules if m in %r))"
+                 % (analyzers,))
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
     def test_bad_subcommand(self):
         result = run_module("explode")
         assert result.returncode != 0

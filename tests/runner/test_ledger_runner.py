@@ -133,3 +133,28 @@ class TestBestEffort:
             ).labels().value == 1.0
         finally:
             obs.disable()
+
+
+class TestCriticalPathField:
+    def test_newest_sweep_of_a_fixed_span_list(self):
+        """The ledger's ``critical_path_s`` is the wall time of the newest
+        ``suite.run`` in the tracer, not of the longest root."""
+
+        def span(span_id, parent, name, t0, wall):
+            return {"id": span_id, "parent": parent, "depth": 0,
+                    "name": name, "t0_s": t0, "wall_s": wall}
+
+        fixed = [
+            span(2, 1, "pair.run", 0.0, 2.5),
+            span(1, None, "suite.run", 0.0, 3.0),
+            span(4, 3, "pair.run", 3.25, 1.0),
+            span(5, 3, "pair.run", 4.25, 0.5),
+            span(3, None, "suite.run", 3.0, 1.75),
+        ]
+        assert SuiteRunner._sweep_critical_path() is None
+        obs.enable()
+        try:
+            obs.tracer().graft(fixed)
+            assert SuiteRunner._sweep_critical_path() == 1.75
+        finally:
+            obs.disable()
