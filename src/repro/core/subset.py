@@ -163,8 +163,14 @@ class SubsetSelector:
         scores, metrics = self.group_scores(suite, group)
         clustering = AgglomerativeClustering(linkage=self.linkage).fit(scores)
         times = np.asarray([m.time_seconds for m in metrics])
+        return self._sweep_points(scores, times, clustering)
+
+    @staticmethod
+    def _sweep_points(
+        scores: np.ndarray, times: np.ndarray, clustering: ClusteringResult
+    ) -> List[SweepPoint]:
         points: List[SweepPoint] = []
-        for k in range(1, len(metrics) + 1):
+        for k in range(1, len(times) + 1):
             labels = clustering.labels(k)
             subset_time = sum(
                 float(times[labels == label].min()) for label in range(k)
@@ -235,7 +241,7 @@ class SubsetSelector:
         scores, metrics = self.group_scores(suite, group)
         clustering = AgglomerativeClustering(linkage=self.linkage).fit(scores)
         times = np.asarray([m.time_seconds for m in metrics])
-        sweep = self.sweep(suite, group)
+        sweep = self._sweep_points(scores, times, clustering)
         if n_clusters is None:
             n_clusters = self.choose_clusters(sweep, method=method)
         labels = clustering.labels(n_clusters)

@@ -22,7 +22,7 @@ import functools
 import hashlib
 import json
 from pathlib import Path
-from typing import List
+from typing import Dict, List, Optional, Tuple
 
 #: Package-relative modules and packages whose source decides counter
 #: values: the substrate config, the error types the engines raise, this
@@ -37,13 +37,45 @@ FINGERPRINT_SOURCES = (
 _PACKAGE_ROOT = Path(__file__).resolve().parent
 
 
+#: Exact types :func:`jsonable` returns unchanged without further checks.
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+
+#: Field names of each dataclass type :func:`jsonable` has met, or None
+#: for a type that is not a dataclass.
+_FIELD_NAMES: Dict[type, Optional[Tuple[str, ...]]] = {}
+
+
+def _field_names(kind: type) -> Optional[Tuple[str, ...]]:
+    try:
+        return _FIELD_NAMES[kind]
+    except KeyError:
+        pass
+    names = None
+    if dataclasses.is_dataclass(kind):
+        names = tuple(f.name for f in dataclasses.fields(kind))
+    _FIELD_NAMES[kind] = names
+    return names
+
+
 def jsonable(obj):
-    """Recursively convert dataclasses/enums/tuples to JSON-safe values."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            f.name: jsonable(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-        }
+    """Recursively convert dataclasses/enums/tuples to JSON-safe values.
+
+    The exact JSON types are dispatched first, since a hashed object is
+    almost all of them.  Everything else takes the general branches in
+    their historical order — dataclass instance, enum, list or tuple
+    subclass, dict subclass, anything else unchanged — so the output,
+    and every content hash over it, never depends on which path ran.
+    """
+    kind = type(obj)
+    if kind in _SCALAR_TYPES:
+        return obj
+    if kind is dict:
+        return {str(key): jsonable(value) for key, value in obj.items()}
+    if kind is list or kind is tuple:
+        return [jsonable(item) for item in obj]
+    names = _field_names(kind)
+    if names is not None:
+        return {name: jsonable(getattr(obj, name)) for name in names}
     if isinstance(obj, enum.Enum):
         return obj.value
     if isinstance(obj, (list, tuple)):

@@ -12,6 +12,10 @@ content hash over everything that can change those values:
 * the code fingerprint (:func:`repro.hashing.code_fingerprint`, a hash
   of every counter-computing source file) and the cache schema version.
 
+Everything but the profile is the same for every pair of a sweep, so it
+is hashed once into a *setup digest*; the key is the hash of that digest
+with the profile (:meth:`ResultCache.key` composes both steps).
+
 Because the simulation is deterministic, a cache hit is bitwise identical
 to a fresh run; anything that would change the numbers — an input or an
 edit to the simulator's source — changes the key, so stale entries are
@@ -29,7 +33,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from ..hashing import code_fingerprint
 
@@ -48,6 +52,9 @@ class ResultCache:
 
     def __init__(self, directory: Optional[os.PathLike] = None):
         self.directory = Path(directory) if directory else default_cache_dir()
+        #: ``(setup arguments, setup digest)`` of the last :meth:`key`
+        #: call; the arguments are held, so their ids cannot be reused.
+        self._setup_digest: Tuple[Optional[tuple], str] = (None, "")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "ResultCache(%r)" % str(self.directory)
@@ -68,18 +75,36 @@ class ResultCache:
         hide behind the other's cached entries.  ``None`` (legacy
         callers) hashes like the pre-engine layout did not exist —
         it participates in the hash as an explicit null.
+
+        The key is two content hashes: a *setup digest* over everything
+        but the profile (schema, code fingerprint, config, sample
+        parameters, engine), then a hash of that digest with the profile.
+        A sweep passes the same setup objects for every pair, so the
+        setup digest is remembered for the last setup seen and reused
+        while each argument is that very object.  Identity, not
+        equality, decides reuse: ``0.0 == -0.0``, yet the two encode,
+        and so key, differently.
         """
-        return content_hash(
-            {
-                "schema": CACHE_SCHEMA,
-                "code_fingerprint": code_fingerprint(),
-                "config": config,
-                "profile": profile,
-                "sample_ops": sample_ops,
-                "warmup_fraction": warmup_fraction,
-                "engine": engine,
-            }
-        )
+        fingerprint = code_fingerprint()
+        setup = (fingerprint, config, sample_ops, warmup_fraction, engine)
+        last_setup, digest = self._setup_digest
+        if last_setup is None or any(
+            a is not b for a, b in zip(setup, last_setup)
+        ):
+            digest = content_hash(
+                {
+                    "schema": CACHE_SCHEMA,
+                    "code_fingerprint": fingerprint,
+                    "config": config,
+                    "sample_ops": sample_ops,
+                    "warmup_fraction": warmup_fraction,
+                    "engine": engine,
+                }
+            )
+            # One assignment, so a reader never pairs a setup with
+            # another setup's digest.
+            self._setup_digest = (setup, digest)
+        return content_hash({"setup": digest, "profile": profile})
 
     def path(self, key: str) -> Path:
         return self.directory / (key + ".json")
@@ -110,12 +135,15 @@ class ResultCache:
             "pair": pair_name,
             "values": {name: float(value) for name, value in values.items()},
         }
+        # Encoded in one piece by the C encoder (json.dump streams through
+        # the pure-Python one); the bytes are the same either way.
+        payload = json.dumps(entry, sort_keys=True).encode("utf-8")
         descriptor, tmp_name = tempfile.mkstemp(
             dir=str(self.directory), suffix=".tmp"
         )
         try:
-            with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-                json.dump(entry, handle, sort_keys=True)
+            with os.fdopen(descriptor, "wb") as handle:
+                handle.write(payload)
             path = self.path(key)
             os.replace(tmp_name, path)
         except BaseException:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import subset as subset_module
 from repro.core.subset import SubsetSelector, SweepPoint
 from repro.errors import AnalysisError
 
@@ -134,3 +135,22 @@ class TestSelect:
     def test_dendrogram_labels(self, rate_result):
         dendrogram = rate_result.dendrogram()
         assert sorted(dendrogram.leaf_order()) == sorted(rate_result.pair_names)
+
+    @pytest.mark.parametrize("group", ["rate", "speed"])
+    def test_one_clustering_fit_per_select(self, selector, suite17,
+                                           monkeypatch, group):
+        fits = []
+        real = subset_module.AgglomerativeClustering
+
+        class CountingClustering(real):
+            def fit(self, scores):
+                fits.append(len(scores))
+                return super().fit(scores)
+
+        monkeypatch.setattr(
+            subset_module, "AgglomerativeClustering", CountingClustering
+        )
+        result = selector.select(suite17, group)
+        assert len(fits) == 1
+        # The sweep select returns is the one sweep() computes.
+        assert result.sweep == tuple(selector.sweep(suite17, group))

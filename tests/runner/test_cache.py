@@ -1,6 +1,9 @@
 """Tests for the on-disk result cache (keying, round trips, invalidation)."""
 
+import dataclasses
+import errno
 import inspect
+import io
 import json
 
 import pytest
@@ -10,6 +13,7 @@ from repro.hashing import code_fingerprint
 from repro.runner import cache as cache_module
 from repro.runner.cache import (
     CACHE_DIR_ENV,
+    CACHE_SCHEMA,
     ResultCache,
     content_hash,
     default_cache_dir,
@@ -45,23 +49,78 @@ class TestKeying:
         scaled = haswell_e5_2650l_v3().with_l3_scaled(0.5)
         assert cache.key(scaled, profile, 10_000, 0.15) != base
 
-        # The material itself: the whole config and profile objects,
-        # every key() parameter, and the code fingerprint.
+        # The material itself, hashed in two steps: a setup digest over
+        # the whole config, every other key() parameter, the code
+        # fingerprint and the schema; then the key over that digest and
+        # the whole profile.
         captured = []
-        monkeypatch.setattr(cache_module, "content_hash", captured.append)
+        real_hash = cache_module.content_hash
+
+        def spy(material):
+            captured.append(material)
+            return real_hash(material)
+
+        monkeypatch.setattr(cache_module, "content_hash", spy)
         arguments = {
             "config": config, "profile": profile, "sample_ops": 12_345,
             "warmup_fraction": 0.375, "engine": "vector",
         }
         parameters = list(inspect.signature(ResultCache.key).parameters)
         assert parameters == ["self", *arguments]
-        cache.key(**arguments)
-        (material,) = captured
-        assert material["config"] is config
-        assert material["profile"] is profile
+        key = cache.key(**arguments)
+        setup, material = captured
+        assert set(setup) == {
+            "schema", "code_fingerprint", "config", "sample_ops",
+            "warmup_fraction", "engine",
+        }
         for name, value in arguments.items():
-            assert material[name] is value, name
-        assert material["code_fingerprint"] == code_fingerprint()
+            if name != "profile":
+                assert setup[name] is value, name
+        assert setup["code_fingerprint"] == code_fingerprint()
+        assert setup["schema"] == CACHE_SCHEMA
+        assert set(material) == {"setup", "profile"}
+        assert material["profile"] is profile
+        assert material["setup"] == real_hash(setup)
+        assert key == real_hash(material)
+
+        # The same setup objects again: only the per-pair step runs.
+        captured.clear()
+        assert cache.key(**arguments) == key
+        assert [set(m) for m in captured] == [{"setup", "profile"}]
+
+    def test_setup_digest_is_reused_by_identity_only(self, cache, config,
+                                                      profile):
+        # Equal configs that differ only by the sign of a zero: equality
+        # cannot tell them apart, the canonical encoding can.
+        positive = dataclasses.replace(
+            config,
+            pipeline=dataclasses.replace(config.pipeline, mlp_overlap=0.0),
+        )
+        negative = dataclasses.replace(
+            config,
+            pipeline=dataclasses.replace(config.pipeline, mlp_overlap=-0.0),
+        )
+        assert positive == negative
+        key_positive = cache.key(positive, profile, 10_000, 0.15)
+        key_negative = cache.key(negative, profile, 10_000, 0.15)
+        assert key_positive != key_negative
+        assert cache.key(config, profile, 10_000, 0.0) != \
+            cache.key(config, profile, 10_000, -0.0)
+
+        # A remembered setup digest never changes a key: every setup,
+        # visited in any order, keys as it does on a fresh cache.
+        setups = [
+            (positive, 10_000, 0.15, None),
+            (negative, 10_000, 0.15, None),
+            (config, 10_000, 0.15, "vector"),
+            (config, 10_000, 0.15, "scalar"),
+            (positive, 10_000, 0.15, None),
+        ]
+        for setup in setups:
+            fresh = ResultCache(cache.directory).key(
+                setup[0], profile, *setup[1:]
+            )
+            assert cache.key(setup[0], profile, *setup[1:]) == fresh
 
     def test_content_hash_handles_enums_and_tuples(self):
         assert content_hash({"size": InputSize.REF, "xs": (1, 2)}) == \
@@ -73,6 +132,40 @@ class TestRoundTrip:
         values = {"inst_retired.any": 1.5e12, "ref_cycles": 2.0e12}
         cache.store("k" * 64, "505.mcf_r/ref", values)
         assert cache.load("k" * 64) == values
+
+    def test_entry_bytes_are_the_sorted_json_encoding(self, cache):
+        values = {"ref_cycles": 2.0e12, "inst_retired.any": 1.5e12,
+                  "br_misp_retired.all_branches": 3}
+        path = cache.store("e" * 64, "505.mcf_r/ref", values)
+        entry = {
+            "schema": CACHE_SCHEMA,
+            "code_fingerprint": code_fingerprint(),
+            "pair": "505.mcf_r/ref",
+            "values": {name: float(value) for name, value in values.items()},
+        }
+        assert path.read_bytes() == \
+            json.dumps(entry, sort_keys=True).encode("utf-8")
+
+    @pytest.mark.parametrize("failing_step", ["write", "replace"])
+    def test_failed_store_leaves_no_files(self, cache, tmp_path,
+                                          monkeypatch, failing_step):
+        class FullDisk(io.FileIO):
+            def write(self, data):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        def refuse(*args):
+            raise OSError(errno.EROFS, "Read-only file system")
+
+        if failing_step == "write":
+            monkeypatch.setattr(
+                cache_module.os, "fdopen",
+                lambda descriptor, mode: FullDisk(descriptor, "wb"),
+            )
+        else:
+            monkeypatch.setattr(cache_module.os, "replace", refuse)
+        with pytest.raises(OSError):
+            cache.store("f" * 64, "505.mcf_r/ref", {"ref_cycles": 1.0})
+        assert list(tmp_path.iterdir()) == []
 
     def test_load_missing_is_none(self, cache):
         assert cache.load("absent" + "0" * 58) is None
